@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet check ci bench-store bench-vclock bench-fig4 bench-obs bench-pipeline bench-crdt bench-fanout bench-net bench-tree bench-partial
+.PHONY: all build test test-race vet vet-e2ebench check ci bench-store bench-vclock bench-fig4 bench-obs bench-crdt bench-fanout bench-net bench-tree bench-partial
 
 all: check
 
@@ -27,11 +27,17 @@ test-race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test test-race
+# The end-to-end benchmark is a nested module (e2ebench/go.mod) that the
+# root ./... patterns skip; vetting it also compiles it against the current
+# dc and core APIs.
+vet-e2ebench:
+	$(GO) -C e2ebench vet ./...
+
+check: build vet vet-e2ebench test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
 # race detector, then everything else.
-ci: vet test-race build test
+ci: vet vet-e2ebench test-race build test
 
 # Read-path microbenchmarks: materialisation cache on/off over journal
 # depths, parallel readers over shards, incremental advancing-cut reads.
@@ -45,25 +51,18 @@ bench-vclock:
 bench-fig4:
 	$(GO) test -run xxx -bench BenchmarkFig4 -benchtime 3x .
 
-# A/B of the DC write path: legacy inline (per-tx replication fan-out, fsync
-# per commit) vs the staged pipeline (per-peer batched senders, group-commit
-# WAL, async push workers). Records the comparison to BENCH_pipeline.json at
-# the repo root; acceptance requires the pipelined path >=2x.
-bench-pipeline:
-	$(GO) test -run TestRecordPipelineBench -count=1 -v ./internal/dc -record-pipeline
-
 # Instrumentation overhead on the cached read path: obs=false vs obs=true
 # must stay within a few percent of each other (see DESIGN.md
 # § Observability).
 bench-obs:
 	$(GO) test -run xxx -bench BenchmarkStoreReadObs -benchmem ./internal/store
 
-# A/B of the DC push fan-out: per-subscriber (one goroutine, one filter pass
-# and one cloned frame per subscriber) vs interest-sharded (one filter pass
-# and one sealed shared frame per shard, bounded worker pool) at 1k/10k/100k
-# Zipf-skewed subscribers. Records the comparison to BENCH_fanout.json at
-# the repo root; acceptance requires the sharded path >=5x delivered-txs/s
-# at 100k and zero delivery-order/interest violations in both modes.
+# The DC push fan-out: interest-sharded (one filter pass and one sealed
+# shared frame per shard, bounded worker pool) at 1k/10k/100k Zipf-skewed
+# subscribers, printing delivered-txs/s, allocations per delivered tx and
+# frame sharing. Acceptance requires zero delivery-order/interest
+# violations. The retired per-subscriber A/B is recorded in
+# BENCH_fanout.json.
 bench-fanout:
 	$(GO) run ./cmd/colony-bench fanout
 
@@ -82,10 +81,11 @@ bench-crdt:
 bench-net:
 	$(GO) test -run TestRecordNetBench -count=1 -v ./internal/transport/tcp -record-net
 
-# A/B of the push multicast layer: direct sharded fan-out (one frame per
-# subscriber per flush) vs two-level multicast trees (one frame per subtree
-# root, relays re-fan the sealed frame to ≤degree children, cursor/repair
-# fallback on relay failure) at 1k/10k/100k relay-capable subscribers with
+# A/B of the push multicast layer: direct sharded fan-out to subscribers
+# without the Relay capability (one frame per subscriber per flush) vs
+# two-level multicast trees over relay-capable subscribers (one frame per
+# subtree root, relays re-fan the sealed frame to ≤degree children,
+# cursor/repair fallback on relay failure) at 1k/10k/100k subscribers with
 # workspace-structured interest. Records the comparison to BENCH_tree.json
 # at the repo root; acceptance requires >=5x fewer DC-sent units at 100k,
 # delivered tx/s within 20% of direct, and zero violations in both modes.

@@ -64,9 +64,6 @@ func run(args []string) error {
 		metrics = fs.String("metrics", ":8080", "HTTP address for /metrics and /debug/vars (empty disables)")
 		datadir = fs.String("datadir", "", "directory for per-DC write-ahead logs (empty disables persistence)")
 		syncw   = fs.Bool("syncwrites", false, "commit acks wait for WAL durability (group-committed; needs -datadir)")
-		inline  = fs.Bool("inline", false, "disable the staged write pipeline (serial per-tx baseline)")
-		persub  = fs.Bool("persub", false, "per-subscriber push fan-out instead of interest shards (A/B baseline)")
-		direct  = fs.Bool("directpush", false, "push to every subscriber directly instead of via multicast trees (A/B baseline)")
 		treedeg = fs.Int("treedeg", 0, "children per relay in the push multicast trees (0 = default 16)")
 		partial = fs.Bool("partial", false, "interest-scoped replication: DCs hold only subscribed buckets, stub the rest, backfill on demand")
 		buckets = fs.String("buckets", "", "comma-separated boot-time bucket interest set (with -partial; empty = acquire on demand)")
@@ -95,8 +92,7 @@ func run(args []string) error {
 			listen: *listen, peers: *peersF, index: *index,
 			shards: *shards, k: *k, workload: *workload,
 			metrics: *metrics, every: *every, datadir: *datadir,
-			syncWrites: *syncw, inline: *inline, perSub: *persub,
-			directPush: *direct, treeDegree: *treedeg, flushDelay: *cork,
+			syncWrites: *syncw, treeDegree: *treedeg, flushDelay: *cork,
 			autoAdvance: *adv, partial: *partial, buckets: bootBuckets,
 		})
 	}
@@ -108,9 +104,6 @@ func run(args []string) error {
 		AutoAdvanceThreshold: *adv,
 		DataDir:              *datadir,
 		SyncWrites:           *syncw,
-		InlineWritePath:      *inline,
-		PerSubscriberPush:    *persub,
-		DirectPush:           *direct,
 		TreeDegree:           *treedeg,
 		PartialRepl:          *partial,
 	}
@@ -219,9 +212,6 @@ type meshOptions struct {
 	every       time.Duration
 	datadir     string
 	syncWrites  bool
-	inline      bool
-	perSub      bool
-	directPush  bool
 	treeDegree  int
 	flushDelay  time.Duration
 	autoAdvance int
@@ -282,9 +272,6 @@ func runMesh(o meshOptions) error {
 		Obs:                  reg,
 		DataDir:              o.datadir,
 		SyncWrites:           o.syncWrites,
-		Inline:               o.inline,
-		PerSubscriberPush:    o.perSub,
-		DirectPush:           o.directPush,
 		TreeDegree:           o.treeDegree,
 		PartialRepl:          o.partial,
 		Buckets:              o.buckets,

@@ -21,12 +21,10 @@ import (
 // far beyond the paper's testbed (10⁵ edge endpoints): one DC, K=1, a
 // Zipf-skewed interest distribution (a few hot buckets shared by most
 // subscribers, a long tail of cold ones — the shape of real workspace
-// popularity), and a commit stream drawn from the same skew. It is run twice
-// per population — Config.PerSubscriber toggles the PR-3 baseline (one
-// goroutine, one filter pass and one cloned frame per subscriber) against
-// the interest-sharded default (one filter pass and one sealed frame per
-// shard) — and reports delivered-txs/s plus allocation cost per delivered
-// transaction, the two axes the sharded design optimises.
+// popularity), and a commit stream drawn from the same skew. It reports
+// delivered-txs/s plus allocation cost per delivered transaction, the two
+// axes the interest-sharded fan-out (one filter pass and one sealed frame
+// per shard) optimises.
 
 // FanoutConfig parameterises one fan-out run.
 type FanoutConfig struct {
@@ -40,32 +38,25 @@ type FanoutConfig struct {
 	Buckets int
 	// ZipfS is the Zipf skew exponent (must be > 1; default 1.2).
 	ZipfS float64
-	// PerSubscriber selects the per-subscriber baseline instead of the
-	// sharded default.
-	PerSubscriber bool
-	// Seed fixes interest assignment and the commit stream so both modes
-	// see the identical workload.
+	// Seed fixes interest assignment and the commit stream.
 	Seed int64
 }
 
-// FanoutResult is one side of the recorded A/B comparison.
+// FanoutResult is one fan-out run's outcome.
 type FanoutResult struct {
-	Mode            string  `json:"mode"`
 	Subscribers     int     `json:"subscribers"`
 	Commits         int     `json:"commits"`
 	DeliveredTxs    int64   `json:"delivered_txs"`
 	ElapsedMs       float64 `json:"elapsed_ms"`
 	DeliveredPerSec float64 `json:"delivered_per_sec"`
 	// AllocsPerTx is the heap-allocation count per delivered transaction
-	// over the commit+delivery phase (both modes pay the same subscriber
-	// handler cost, so the difference is the fan-out path itself).
+	// over the commit+delivery phase.
 	AllocsPerTx float64 `json:"allocs_per_delivered_tx"`
 	// Violations counts delivery-order or interest-isolation breaches
-	// observed by the subscribers; acceptance requires zero in both modes.
+	// observed by the subscribers; acceptance requires zero.
 	Violations int64 `json:"violations"`
-	// Sharded-mode instrumentation (zero in per-subscriber mode): frames
-	// built vs frames saved by sharing, live shard count, and the
-	// subscribers-per-frame histogram.
+	// Fan-out instrumentation: frames built vs frames saved by sharing, live
+	// shard count, and the subscribers-per-frame histogram.
 	FramesBuilt    int64 `json:"frames_built"`
 	FramesShared   int64 `json:"frames_shared"`
 	Shards         int64 `json:"shards"`
@@ -143,27 +134,22 @@ func RunFanout(cfg FanoutConfig, progress func(string)) (FanoutResult, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
-	mode := "sharded"
-	if cfg.PerSubscriber {
-		mode = "per-subscriber"
-	}
-	res := FanoutResult{Mode: mode, Subscribers: cfg.Subscribers, Commits: cfg.Commits}
+	res := FanoutResult{Subscribers: cfg.Subscribers, Commits: cfg.Commits}
 
 	net := simnet.New(simnet.Config{Seed: cfg.Seed})
 	defer net.Close()
 	reg := obs.New()
 	d, err := dc.New(net.Transport(), dc.Config{
 		Index: 0, Name: "dc0", NumDCs: 1, Shards: 2, K: 1,
-		PerSubscriberPush: cfg.PerSubscriber,
-		Obs:               reg,
+		Obs: reg,
 	})
 	if err != nil {
 		return res, err
 	}
 	defer d.Close()
 
-	// Draw every random choice up front from one seeded source so the
-	// baseline and sharded runs replay the identical workload.
+	// Draw every random choice up front from one seeded source so a seed
+	// replays the identical workload.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Buckets-1))
 	interests := make([][]int, cfg.Subscribers)
@@ -188,7 +174,7 @@ func RunFanout(cfg FanoutConfig, progress func(string)) (FanoutResult, error) {
 	}
 
 	var delivered, violations atomic.Int64
-	progress(fmt.Sprintf("%s: subscribing %d edge nodes", mode, cfg.Subscribers))
+	progress(fmt.Sprintf("subscribing %d edge nodes", cfg.Subscribers))
 	const subWorkers = 64
 	var wg sync.WaitGroup
 	var subErr atomic.Value
@@ -225,7 +211,7 @@ func RunFanout(cfg FanoutConfig, progress func(string)) (FanoutResult, error) {
 		return res, err
 	}
 
-	progress(fmt.Sprintf("%s: committing %d txs (expect %d deliveries)", mode, cfg.Commits, expected))
+	progress(fmt.Sprintf("committing %d txs (expect %d deliveries)", cfg.Commits, expected))
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -259,7 +245,7 @@ func RunFanout(cfg FanoutConfig, progress func(string)) (FanoutResult, error) {
 	deadline := time.Now().Add(10 * time.Minute)
 	for delivered.Load() < expected {
 		if time.Now().After(deadline) {
-			return res, fmt.Errorf("%s: delivered %d of %d txs before timeout", mode, delivered.Load(), expected)
+			return res, fmt.Errorf("fanout: delivered %d of %d txs before timeout", delivered.Load(), expected)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

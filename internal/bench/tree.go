@@ -22,10 +22,11 @@ import (
 // join shared workspaces (a colony group around a set of documents), so
 // subscribers of one workspace carry the *same* interest signature and land
 // in the same push shard, which is exactly the population the subtree relays
-// compress. Each run executes once with DirectPush (the PR-5 interest-sharded
-// baseline: one sealed frame per shard, one send per subscriber) and once in
-// tree mode (one send per subtree root; relays re-fan the sealed frame to at
-// most TreeDegree children).
+// compress. Each run executes once with subscribers that do not declare the
+// Relay capability (direct-sharded: one sealed frame per shard, one send per
+// subscriber) and once with relay-capable subscribers in tree mode (one send
+// per subtree root; relays re-fan the sealed frame to at most TreeDegree
+// children).
 // The axis that matters is DC-sent units: tree mode trades DC egress for
 // relay egress, so the benchmark reports both, plus delivered-txs/s and the
 // usual violation count (which must stay zero in both modes).
@@ -45,7 +46,9 @@ type TreeConfig struct {
 	Workspaces int
 	// ZipfS is the Zipf skew exponent (must be > 1; default 1.2).
 	ZipfS float64
-	// Direct selects the direct-sharded baseline (dc.Config.DirectPush).
+	// Direct subscribes without the Relay capability (wire.Subscribe.Relay
+	// false), so the DC builds no trees and pushes to every subscriber
+	// directly.
 	Direct bool
 	// Degree bounds the children per subtree root (default dc default, 16).
 	Degree int
@@ -199,7 +202,6 @@ func RunTree(cfg TreeConfig, progress func(string)) (TreeResult, error) {
 	reg := obs.New()
 	d, err := dc.New(net.Transport(), dc.Config{
 		Index: 0, Name: "dc0", NumDCs: 1, Shards: 2, K: 1,
-		DirectPush: cfg.Direct,
 		TreeDegree: cfg.Degree,
 		// Identical corking in both modes: without it the faster flush loop
 		// ships more, smaller frames and the send counts are not comparable.
@@ -264,7 +266,7 @@ func RunTree(cfg TreeConfig, progress func(string)) (TreeResult, error) {
 	}
 
 	var delivered, violations, relaySent atomic.Int64
-	progress(fmt.Sprintf("%s: subscribing %d relay-capable edge nodes", mode, cfg.Subscribers))
+	progress(fmt.Sprintf("%s: subscribing %d edge nodes", mode, cfg.Subscribers))
 	const subWorkers = 64
 	var wg sync.WaitGroup
 	var subErr atomic.Value
@@ -292,7 +294,7 @@ func RunTree(cfg TreeConfig, progress func(string)) (TreeResult, error) {
 				}
 				s.node = net.AddNode(name, s.handle)
 				ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-				_, err := s.node.Call(ctx, "dc0", wire.Subscribe{Node: name, Objects: ids, Relay: true})
+				_, err := s.node.Call(ctx, "dc0", wire.Subscribe{Node: name, Objects: ids, Relay: !cfg.Direct})
 				cancel()
 				if err != nil {
 					subErr.Store(fmt.Errorf("subscribe %s: %w", name, err))

@@ -66,10 +66,9 @@ type Config struct {
 	// restart. Empty disables persistence (unit tests, far-edge nodes).
 	DataDir string
 	// SyncWrites makes commit acknowledgement wait until the transaction's
-	// WAL append is durable (flushed and fsynced). With the pipelined path
-	// the wait piggybacks on the group-commit writer, so N concurrent
-	// committers share one fsync; inline it degenerates to an fsync per
-	// commit. Only meaningful with DataDir set.
+	// WAL append is durable (flushed and fsynced). The wait piggybacks on the
+	// group-commit writer, so N concurrent committers share one fsync. Only
+	// meaningful with DataDir set.
 	SyncWrites bool
 	// WALSyncEvery caps how many appends the group-commit writer coalesces
 	// into one fsync batch (default 64); WALSyncInterval optionally lets the
@@ -83,31 +82,13 @@ type Config struct {
 	// ReplBatchMax caps how many transactions a per-peer sender coalesces
 	// into one wire.ReplBatch (default 128).
 	ReplBatchMax int
-	// Inline disables the staged write pipeline and restores the serial
-	// pre-pipeline path: one wire.ReplTx per transaction per peer built and
-	// sent inside commitAt, push fan-out under the global DC lock, and
-	// unbatched WAL appends (an fsync per commit when SyncWrites is set).
-	// It exists for A/B benchmarking (make bench-pipeline) and as an escape
-	// hatch; production configurations leave it false.
-	Inline bool
-	// PerSubscriberPush restores PR 3's pipelined fan-out — one outbox, one
-	// goroutine and one interest-filter pass per subscriber — instead of the
-	// default interest-sharded fan-out. It exists for A/B benchmarking
-	// (make bench-fanout); ignored when Inline is set.
-	PerSubscriberPush bool
 	// PushShardWorkers bounds the worker pool that drains dirty interest
-	// shards in sharded fan-out mode (default 4). Irrelevant in inline and
-	// per-subscriber modes.
+	// shards (default 4).
 	PushShardWorkers int
-	// DirectPush disables tree multicast and restores PR 5's direct-sharded
-	// fan-out: the DC sends every shard frame itself, once per subscriber.
-	// It exists for A/B benchmarking (make bench-tree); production
-	// configurations leave it false and let relay-capable subscribers
-	// (Subscribe.Relay) re-fan-out frames to their subtree siblings.
-	DirectPush bool
 	// TreeDegree bounds a multicast subtree: one relay root plus at most
-	// TreeDegree children (default 16). Only relay-capable subscribers join
-	// trees; others always receive direct frames.
+	// TreeDegree children (default 16). Only relay-capable subscribers
+	// (Subscribe.Relay) join trees and re-fan-out frames to their subtree
+	// siblings; others always receive direct frames.
 	TreeDegree int
 	// TreeAckTimeout bounds how long the DC waits for a subtree root's
 	// forwarding receipt before assuming the relay died: the affected
@@ -131,8 +112,7 @@ type Config struct {
 	// DC holds only the buckets in its interest set, advertises that set to
 	// peers via BucketVec gossip, and receives payload-stripped stubs for
 	// everything else. Buckets are acquired on demand (backfill) and may be
-	// evicted when cold. Requires the pipelined path (incompatible with
-	// Inline).
+	// evicted when cold.
 	PartialRepl bool
 	// Buckets is the boot-time interest set (live immediately, no backfill —
 	// at genesis every bucket is empty everywhere). Additional buckets join
@@ -152,35 +132,18 @@ type Config struct {
 type subscription struct {
 	node     string
 	interest map[txn.ObjectID]bool
-	// logIdx is the position in the DC's transaction log up to which the
-	// subscriber has been served.
-	logIdx int
-	// stable is the stability cut last handed to the subscriber's outbox
-	// (pipelined) or pushed (inline).
-	stable vclock.Vector
 
-	// Pipelined push fan-out (unused in inline mode). pending holds log
-	// entries scanned but not yet sent (unfiltered — the worker applies the
-	// interest filter outside the DC lock), pendingStable the latest cut to
-	// advertise, sentStable the cut last actually handed to the network.
-	// All are guarded by outMu, which also guards interest so the worker
-	// can filter without the DC lock. Lock order: d.mu before outMu.
-	outMu         sync.Mutex
-	pending       []*txn.Transaction
-	pendingStable vclock.Vector
-	sentStable    vclock.Vector
-	notify        chan struct{}
-	stop          chan struct{}
-	stopOnce      sync.Once
-
-	// Interest-sharded fan-out bookkeeping (zero in inline and
-	// per-subscriber modes). shard is the interest shard this subscription
-	// currently belongs to, guarded by the fanout mutex. deliveredIdx is the
-	// log index the subscriber has been sent through and fanGen the log
-	// generation it belongs to; both are guarded by outMu, like sentStable.
-	shard        *pushShard
+	// outMu guards interest and the delivery cursor: sentStable, the cut
+	// last actually handed to the network, deliveredIdx, the log index the
+	// subscriber has been sent through, and fanGen, the log generation that
+	// index belongs to. Lock order: d.mu before outMu.
+	outMu        sync.Mutex
+	sentStable   vclock.Vector
 	deliveredIdx int
 	fanGen       uint64
+	// shard is the interest shard this subscription currently belongs to,
+	// guarded by the fanout mutex.
+	shard *pushShard
 	// rewinds counts delivery-cursor rewinds (guarded by outMu, bumped even
 	// when the cursor was already at or below the rewind target — the
 	// re-cover intent matters, not the movement). Optimistic advances
@@ -198,17 +161,6 @@ type subscription struct {
 	// tree is the multicast subtree this subscription currently belongs to
 	// (nil when direct). Guarded by the fanout mutex.
 	tree *pushTree
-}
-
-// signal wakes the subscription's push worker (no-op if already signalled).
-func (s *subscription) signal() {
-	if s.notify == nil {
-		return
-	}
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
 }
 
 // replOutbox is one peer's bounded replication queue, drained by a dedicated
@@ -237,6 +189,18 @@ type DC struct {
 	replLog []*txn.Transaction // every applied tx, masked or not, for anti-entropy
 	byDot   map[vclock.Dot]*txn.Transaction
 	subs    map[string]*subscription
+
+	// unpublished holds the local commit timestamps the sequencer assigned
+	// whose commits have not yet advanced the state vector; published is
+	// signalled (on d.mu) when one retires. Commits publish in timestamp
+	// order (see commitAt). replQ carries their replication enqueues, in
+	// that same order, to whichever committer is draining it (replDraining).
+	// All guarded by d.mu.
+	unpublished  map[uint64]struct{}
+	published    *sync.Cond
+	replQ        []replEnqueue
+	replDraining bool
+
 	// visible decides whether a transaction may become visible (the ACL
 	// check hook, paper §6.4); nil admits everything.
 	visible func(*txn.Transaction) bool
@@ -250,9 +214,9 @@ type DC struct {
 	walMu  sync.Mutex
 	walErr error
 
-	// outboxes are the per-peer replication queues (pipelined mode; created
-	// in SetPeers under d.mu). replDepth/pushDepth mirror the queue depths
-	// for the obs gauges without taking locks.
+	// outboxes are the per-peer replication queues (created in SetPeers
+	// under d.mu). replDepth/pushDepth mirror the replication and push queue
+	// depths for the obs gauges without taking locks.
 	outboxes  map[int]*replOutbox
 	replDepth atomic.Int64
 	pushDepth atomic.Int64
@@ -260,9 +224,9 @@ type DC struct {
 	pipeStop chan struct{}
 	pipeWG   sync.WaitGroup
 
-	// fan is the interest-sharded fan-out engine (nil in inline and
-	// per-subscriber modes); fanShards/fanDirty mirror its shard count and
-	// dirty-queue depth for the obs gauges without taking its lock.
+	// fan is the interest-sharded fan-out engine; fanShards/fanDirty mirror
+	// its shard count and dirty-queue depth for the obs gauges without
+	// taking its lock.
 	fan       *fanout
 	fanShards atomic.Int64
 	fanDirty  atomic.Int64
@@ -308,9 +272,6 @@ type DC struct {
 // worker (if configured). Call SetPeers once all DCs exist, then Close when
 // done.
 func New(net transport.Network, cfg Config) (*DC, error) {
-	if cfg.PartialRepl && cfg.Inline {
-		return nil, fmt.Errorf("dc %s: PartialRepl requires the pipelined path (Inline must be false)", cfg.Name)
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
@@ -356,10 +317,12 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		subs:          make(map[string]*subscription),
 		masked:        make(map[vclock.Dot]*txn.Transaction),
 		outboxes:      make(map[int]*replOutbox),
+		unpublished:   make(map[uint64]struct{}),
 		pipeStop:      make(chan struct{}),
 		stopHeartbeat: make(chan struct{}),
 		heartbeatDone: make(chan struct{}),
 	}
+	d.published = sync.NewCond(&d.mu)
 	if cfg.Obs != nil {
 		d.obsEdgeCommits = cfg.Obs.Counter("dc.edge_commits")
 		d.obsEdgeNacks = cfg.Obs.Counter("dc.edge_nacks")
@@ -424,9 +387,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 			return nil, fmt.Errorf("dc: recover %s: %w", cfg.Name, err)
 		}
 		logFile, err := wal.OpenWithOptions(cfg.DataDir, cfg.Name+".wal", wal.Options{
-			// The pipelined path batches WAL appends behind a single group-
-			// commit writer; inline mode keeps the legacy buffered appends.
-			GroupCommit:  !cfg.Inline,
 			SyncEvery:    cfg.WALSyncEvery,
 			SyncInterval: cfg.WALSyncInterval,
 			OnError:      d.noteWALError,
@@ -437,17 +397,13 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		}
 		d.journal = logFile
 	}
-	if !cfg.Inline && !cfg.PerSubscriberPush {
-		d.fan = newFanout(d)
-		for i := 0; i < cfg.PushShardWorkers; i++ {
-			d.pipeWG.Add(1)
-			go d.runShardWorker()
-		}
-		if !cfg.DirectPush {
-			d.pipeWG.Add(1)
-			go d.runTreeSweeper()
-		}
+	d.fan = newFanout(d)
+	for i := 0; i < cfg.PushShardWorkers; i++ {
+		d.pipeWG.Add(1)
+		go d.runShardWorker()
 	}
+	d.pipeWG.Add(1)
+	go d.runTreeSweeper()
 	d.node = net.AddNode(cfg.Name, d.handle)
 	if cfg.Heartbeat > 0 {
 		go d.heartbeatLoop()
@@ -457,10 +413,10 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	return d, nil
 }
 
-// SetPeers wires the other DCs (index → network node name). In pipelined
-// mode it also creates one bounded outbox plus sender goroutine per peer;
-// commitAt enqueues onto these and the senders coalesce runs of pending
-// transactions into wire.ReplBatch frames.
+// SetPeers wires the other DCs (index → network node name) and creates one
+// bounded outbox plus sender goroutine per peer; commitAt enqueues onto
+// these and the senders coalesce runs of pending transactions into
+// wire.ReplBatch frames.
 func (d *DC) SetPeers(peers map[int]string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -469,7 +425,7 @@ func (d *DC) SetPeers(peers map[int]string) {
 			continue
 		}
 		d.peers[idx] = name
-		if d.cfg.Inline || d.outboxes[idx] != nil || d.closed {
+		if d.outboxes[idx] != nil || d.closed {
 			continue
 		}
 		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, d.cfg.ReplOutbox)}
@@ -549,9 +505,7 @@ func (d *DC) Close() {
 	close(d.stopHeartbeat)
 	<-d.heartbeatDone
 	close(d.pipeStop)
-	if d.fan != nil {
-		d.fan.stop()
-	}
+	d.fan.stop()
 	d.pipeWG.Wait()
 	if journal != nil {
 		_ = journal.Close()
@@ -705,7 +659,7 @@ func (d *DC) handle(from string, msg any) any {
 			time.Sleep(d.cfg.ServiceTime)
 			defer func() { <-d.capacity }()
 		}
-	case wire.ReplTx, wire.ReplBatch:
+	case wire.ReplBatch:
 		// Applying replicated traffic costs a fraction of a client request;
 		// this is what keeps N DCs from scaling capacity N× for write-heavy
 		// workloads. The cost is per frame, not per transaction — coalesced
@@ -718,10 +672,6 @@ func (d *DC) handle(from string, msg any) any {
 		}
 	}
 	switch m := msg.(type) {
-	case wire.ReplTx:
-		// Single-transaction compatibility envelope (older peers, tests).
-		d.receiveReplicated(wire.ReplBatch{From: m.From, Txs: []*txn.Transaction{m.Tx}, State: m.State, SentAt: m.SentAt})
-		return nil
 	case wire.ReplBatch:
 		d.receiveReplicated(m)
 		return nil
@@ -878,11 +828,20 @@ func (d *DC) commitLocal(t *txn.Transaction) (vclock.CommitStamps, error) {
 
 // commitAt runs the 2PC for a transaction (local or edge-originated),
 // assigning the commit timestamp from the DC sequencer, then records and
-// replicates it. Pipelined, the replication leg is a per-peer outbox
-// enqueue (the senders build and ship coalesced batches) and the push leg
-// is an outbox append drained by per-subscriber workers, so the commit
-// critical path holds d.mu only for the bookkeeping writes.
+// replicates it. The replication leg is a per-peer outbox enqueue (the
+// senders build and ship coalesced batches) and the push leg is a fanout
+// scan drained by the shard workers, so the commit critical path holds d.mu
+// only for the bookkeeping writes.
+//
+// Concurrent commits publish — advance the state vector, enter the log and
+// the replication outboxes — in timestamp order. The state vector is a
+// join, so publishing a later timestamp first would claim an earlier one
+// whose effects are not applied yet: a read or backfill served at that cut
+// would miss them for good, and so would a peer that received the later
+// commit first, since its state vector covers the earlier one as soon as it
+// admits the later.
 func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
+	var ts uint64
 	stamps, err := d.coord.Commit(t, func(maxPrepare uint64) (int, uint64) {
 		d.mu.Lock()
 		defer d.mu.Unlock()
@@ -890,27 +849,34 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 			d.seq = maxPrepare
 		}
 		d.seq++
+		ts = d.seq
+		d.unpublished[ts] = struct{}{}
 		return d.cfg.Index, d.seq
 	})
 	if err != nil {
+		if ts != 0 {
+			d.mu.Lock()
+			d.retireLocked(ts)
+			d.mu.Unlock()
+		}
 		return nil, err
 	}
 	t.Commit = stamps
 	d.persist(t)
 	d.mu.Lock()
+	for d.earlierUnpublishedLocked(ts) {
+		d.published.Wait()
+	}
+	d.retireLocked(ts)
 	d.lamport.Witness(t.Dot.Seq)
 	d.state = t.Commit.JoinInto(d.state, t.Snapshot)
 	d.recordLocked(t)
 	d.mesh.ObserveSelf(d.state)
 	var (
-		inlinePeers []string
-		inlineMsg   wire.ReplTx
-		outs        []*replOutbox
-		cp          *txn.Transaction
+		outs []*replOutbox
+		cp   *txn.Transaction
 	)
-	if d.cfg.Inline {
-		inlinePeers, inlineMsg = d.replMsgLocked(t)
-	} else if len(d.outboxes) > 0 {
+	if len(d.outboxes) > 0 {
 		// One clone shared by every peer's batch (the wire contract treats
 		// in-flight transactions as immutable), collected under d.mu so a
 		// concurrent SetPeers cannot race the map.
@@ -921,15 +887,59 @@ func (d *DC) commitAt(t *txn.Transaction) (vclock.CommitStamps, error) {
 		}
 	}
 	d.notifySubscribersLocked(false)
+	if cp != nil {
+		d.replQ = append(d.replQ, replEnqueue{outs: outs, tx: cp})
+	}
+	drain := !d.replDraining && len(d.replQ) > 0
+	d.replDraining = d.replDraining || drain
 	d.mu.Unlock()
-	if d.cfg.Inline {
-		for _, p := range inlinePeers {
-			_ = d.node.Send(p, inlineMsg)
-		}
-	} else if cp != nil {
-		d.enqueueRepl(outs, cp)
+	if drain {
+		d.drainReplQ()
 	}
 	return stamps.Clone(), nil
+}
+
+// replEnqueue is one published commit's replication enqueue.
+type replEnqueue struct {
+	outs []*replOutbox
+	tx   *txn.Transaction
+}
+
+// drainReplQ hands published commits to the per-peer outboxes in
+// publication order. Exactly one committer drains at a time (the one that
+// set replDraining); enqueueing may block on a full outbox, so it runs
+// outside d.mu.
+func (d *DC) drainReplQ() {
+	d.mu.Lock()
+	for len(d.replQ) > 0 {
+		q := d.replQ
+		d.replQ = nil
+		d.mu.Unlock()
+		for _, e := range q {
+			d.enqueueRepl(e.outs, e.tx)
+		}
+		d.mu.Lock()
+	}
+	d.replDraining = false
+	d.mu.Unlock()
+}
+
+// earlierUnpublishedLocked reports whether a local commit with a timestamp
+// below ts has not been published yet. Caller holds d.mu.
+func (d *DC) earlierUnpublishedLocked(ts uint64) bool {
+	for other := range d.unpublished {
+		if other < ts {
+			return true
+		}
+	}
+	return false
+}
+
+// retireLocked removes ts from the unpublished set and wakes the commits
+// waiting for their turn. Caller holds d.mu.
+func (d *DC) retireLocked(ts uint64) {
+	delete(d.unpublished, ts)
+	d.published.Broadcast()
 }
 
 // recordLocked appends the transaction to the causal log and the dot index,
@@ -956,15 +966,6 @@ func (d *DC) passesVisibilityLocked(t *txn.Transaction) bool {
 		}
 	}
 	return true
-}
-
-// replMsgLocked builds the replication fan-out for a transaction.
-func (d *DC) replMsgLocked(t *txn.Transaction) ([]string, wire.ReplTx) {
-	peers := make([]string, 0, len(d.peers))
-	for _, p := range d.peers {
-		peers = append(peers, p)
-	}
-	return peers, wire.ReplTx{From: d.cfg.Index, Tx: t.Clone(), State: d.state.Clone(), SentAt: time.Now()}
 }
 
 // antiEntropyLocked finds own-accepted transactions the heartbeat sender is
@@ -1089,15 +1090,18 @@ func (d *DC) receiveReplicated(m wire.ReplBatch) {
 		d.obsReplLat.Observe(int64(time.Since(m.SentAt)))
 	}
 	d.mesh.ObservePeer(m.From, m.State)
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
+	}
 	if d.dropStale(m) {
 		// Scoped against an interest set older than our latest bucket
 		// addition: the batch may stub a bucket we now hold. Refuse it whole
 		// (the peer's state was still observed above); anti-entropy re-sends
-		// the content with a fresher scope.
-		return
-	}
-	d.mu.Lock()
-	if d.closed {
+		// the content with a fresher scope. Checked under d.mu, so a batch
+		// is either admitted before a backfill reads its C_min or checked
+		// against the raised floor (see pendingCut).
 		d.mu.Unlock()
 		return
 	}
@@ -1186,65 +1190,52 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 			// overlap is deduplicated by dot on the subscriber.
 			start = m.Since.Clone()
 		}
-		sub = &subscription{
-			node:     m.Node,
-			interest: make(map[txn.ObjectID]bool),
-			stable:   start,
-		}
 		// Everything at or below the start cut is already held by the
-		// subscriber (via the object snapshots below, or its prior cache).
-		for _, t := range d.log {
-			if !t.VisibleAt(start) {
-				break
-			}
-			sub.logIdx++
-		}
-		if d.fan != nil {
-			// Sharded: no per-subscriber goroutine. The delivery cursor
-			// starts at the start cut; if that is behind the scan frontier
-			// (Resume with an old Since), the placement kick below makes the
-			// first flush repair the gap.
-			sub.sentStable = start
-			sub.deliveredIdx = sub.logIdx
-			sub.fanGen = d.fan.gen.Load()
-		} else if !d.cfg.Inline && !d.closed {
-			sub.pendingStable = start
-			sub.sentStable = start
-			sub.notify = make(chan struct{}, 1)
-			sub.stop = make(chan struct{})
-			d.pipeWG.Add(1)
-			go d.runPushWorker(sub)
+		// subscriber (via the object snapshots below, or its prior cache),
+		// so the delivery cursor starts there. If that is behind the scan
+		// frontier (Resume with an old Since), the placement kick below
+		// makes the first flush repair the gap.
+		sub = &subscription{
+			node:         m.Node,
+			interest:     make(map[txn.ObjectID]bool),
+			sentStable:   start,
+			deliveredIdx: d.visiblePrefixLocked(start),
+			fanGen:       d.fan.gen.Load(),
 		}
 		d.subs[m.Node] = sub
-	} else if m.Resume && !sub.stable.LEQ(m.Since) {
-		// Reconnection of a live subscription with a cut behind our cursor:
-		// rewind so pushes lost during the disconnection are replayed. When
-		// the subscriber is already at or ahead of the cursor, nothing was
-		// lost and the (linear) rewind scan is skipped.
-		d.rewindSubLocked(sub, m.Since)
+	} else if m.Resume {
+		// Reconnection of a live subscription: pushes the network accepted
+		// may still have been lost (a lossy link, a connection that died
+		// after the write), so compare against the cut last handed to the
+		// network and rewind when the subscriber is behind it. When the
+		// subscriber is at or ahead of it, nothing was lost and the (linear)
+		// rewind scan is skipped.
+		sub.outMu.Lock()
+		behind := !sub.sentStable.LEQ(m.Since)
+		sub.outMu.Unlock()
+		if behind {
+			d.rewindSubLocked(sub, m.Since)
+		}
 	}
 	if m.Relay {
 		sub.relay = true // sticky for the subscription's lifetime
 	}
 	// Seeds are materialised at the *current* stable cut, never at the
-	// (possibly rewound) subscription cursor: the cut must dominate every
+	// (possibly rewound) delivery cursor: the cut must dominate every
 	// transaction already pushed to this subscriber, so that a replayed
 	// update skipped on arrival is guaranteed to be covered by the seed.
 	seedCut := d.mesh.KStable(d.cfg.K)
-	ack := wire.SubscribeAck{Stable: sub.stable.Clone()}
+	var ack wire.SubscribeAck
 	sub.outMu.Lock()
 	for _, id := range m.Objects {
 		sub.interest[id] = true
 	}
-	if sub.sentStable != nil {
-		// Pipelined, advertise the cut last actually handed to the network,
-		// not the outbox cursor: the inline path guaranteed every push at or
-		// below ack.Stable was sent before the reply (FIFO links then deliver
-		// them first), and visibility at the edge must not outrun delivery.
-		ack.Stable = sub.sentStable.Clone()
-	}
+	// Advertise the cut last actually handed to the network: FIFO links
+	// deliver every push at or below it before this reply, and visibility
+	// at the edge must not outrun delivery.
+	ack.Stable = sub.sentStable.Clone()
 	sub.outMu.Unlock()
-	if d.fan != nil && !d.closed {
+	if !d.closed {
 		// (Re)place in the interest shard matching the possibly-extended
 		// signature; the kick repairs any cursor gap.
 		d.fan.place(sub)
@@ -1261,66 +1252,48 @@ func (d *DC) subscribeRegister(m wire.Subscribe) any {
 	return ack
 }
 
-// rewindSubLocked moves a subscriber's cursor back to cut so the log above it
-// is replayed (duplicates are filtered by dot downstream). Pipelined, the
-// outbox is discarded too: its contents are above the new cursor and will be
-// rescanned, and replaying them from the old cursor first would break the
-// causal order of the push stream. Called with d.mu held.
-func (d *DC) rewindSubLocked(sub *subscription, cut vclock.Vector) {
-	sub.stable = cut.Clone()
-	sub.logIdx = 0
+// visiblePrefixLocked counts the leading log entries visible at cut: the
+// log index a delivery cursor anchored at cut starts from. Called with d.mu
+// held.
+func (d *DC) visiblePrefixLocked(cut vclock.Vector) int {
+	n := 0
 	for _, t := range d.log {
 		if !t.VisibleAt(cut) {
 			break
 		}
-		sub.logIdx++
+		n++
 	}
-	if d.cfg.Inline {
-		return
-	}
-	if d.fan != nil {
-		// Sharded: pull the delivery cursor back; the next flush of the
-		// subscriber's shard rebuilds the gap from the log (repair frame).
-		// If the subscriber rides a multicast subtree, bump the tree's ver
-		// first (under the fanout mutex, which guards sub.tree) so any
-		// in-flight tree plan backs off instead of optimistically advancing
-		// the cursor past the replay gap this rewind requests.
-		d.fan.mu.Lock()
-		if sub.tree != nil {
-			sub.tree.ver++
-		}
-		sub.outMu.Lock()
-		if sub.logIdx < sub.deliveredIdx {
-			sub.deliveredIdx = sub.logIdx
-		}
-		sub.rewinds++
-		sub.sentStable = sub.stable
-		sub.outMu.Unlock()
-		d.fan.mu.Unlock()
-		return
-	}
-	sub.outMu.Lock()
-	d.pushDepth.Add(-int64(len(sub.pending)))
-	sub.pending = nil
-	sub.pendingStable = sub.stable
-	sub.sentStable = sub.stable
-	sub.outMu.Unlock()
+	return n
 }
 
-// dropSubLocked removes a subscription and stops its push worker. Called with
-// d.mu held.
-func (d *DC) dropSubLocked(sub *subscription) {
-	delete(d.subs, sub.node)
-	if sub.stop != nil {
-		sub.stopOnce.Do(func() { close(sub.stop) })
-	}
-	if d.fan != nil {
-		d.fan.remove(sub)
+// rewindSubLocked pulls a subscriber's delivery cursor back to cut so the log
+// above it is replayed (duplicates are filtered by dot downstream): the next
+// flush of the subscriber's shard rebuilds the gap from the log (repair
+// frame). If the subscriber rides a multicast subtree, the tree's ver is
+// bumped first (under the fanout mutex, which guards sub.tree) so any
+// in-flight tree plan backs off instead of optimistically advancing the
+// cursor past the replay gap this rewind requests. Called with d.mu held.
+func (d *DC) rewindSubLocked(sub *subscription, cut vclock.Vector) {
+	idx := d.visiblePrefixLocked(cut)
+	d.fan.mu.Lock()
+	if sub.tree != nil {
+		sub.tree.ver++
 	}
 	sub.outMu.Lock()
-	d.pushDepth.Add(-int64(len(sub.pending)))
-	sub.pending = nil
+	if idx < sub.deliveredIdx {
+		sub.deliveredIdx = idx
+	}
+	sub.rewinds++
+	sub.sentStable = cut.Clone()
 	sub.outMu.Unlock()
+	d.fan.mu.Unlock()
+}
+
+// dropSubLocked removes a subscription and takes it out of its shard. Called
+// with d.mu held.
+func (d *DC) dropSubLocked(sub *subscription) {
+	delete(d.subs, sub.node)
+	d.fan.remove(sub)
 }
 
 // unsubscribe shrinks an interest set (or drops the subscription entirely
@@ -1344,7 +1317,7 @@ func (d *DC) unsubscribe(m wire.Unsubscribe) {
 	sub.outMu.Unlock()
 	if empty {
 		d.dropSubLocked(sub)
-	} else if d.fan != nil && !d.closed {
+	} else if !d.closed {
 		// The signature may have shrunk: move to the narrower shard so
 		// shared frames stop carrying the dropped buckets.
 		d.fan.place(sub)
@@ -1385,18 +1358,14 @@ func (d *DC) fetchObject(requester string, id txn.ObjectID, at vclock.Vector) an
 		// subscription, losing it for good.
 		sub.outMu.Lock()
 		sub.interest[id] = true
-		ahead := !sub.stable.LEQ(cut)
-		if d.fan != nil {
-			// Sharded mode advances sentStable, not sub.stable.
-			ahead = !sub.sentStable.LEQ(cut)
-		}
+		ahead := !sub.sentStable.LEQ(cut)
 		sub.outMu.Unlock()
 		if ahead {
 			// The cursor is ahead of the served cut: rewind so the gap is
 			// replayed (duplicates are filtered downstream).
 			d.rewindSubLocked(sub, cut)
 		}
-		if d.fan != nil && !d.closed {
+		if !d.closed {
 			// The fetched bucket joins the signature; the kick replays
 			// updates above the served cut for it.
 			d.fan.place(sub)
@@ -1423,143 +1392,18 @@ func (d *DC) materializeLocked(id txn.ObjectID, at vclock.Vector) wire.ObjectSta
 // not-yet-stable transaction so pushes never reorder causally related
 // updates.
 //
-// Sharded (the default), the whole subscriber population costs one fanout
-// scan: each new transaction is routed to the interest shards whose bucket
-// set it touches, and the bounded shard-worker pool filters, seals and ships
-// one frame per shard outside d.mu. broadcast marks stability-only triggers
-// (heartbeat tick, gossip receipt): only then is a pure cut advance fanned
-// to every shard — between broadcasts, subscribers learn new cuts from the
-// frames that carry their transactions.
-//
-// Per-subscriber (Config.PerSubscriberPush) keeps PR 3's pipelined model —
-// the scan appends the unfiltered run to each subscriber's outbox and wakes
-// its worker. Inline, the legacy behaviour — filter and send under d.mu — is
-// preserved for A/B comparison.
+// The whole subscriber population costs one fanout scan: each new
+// transaction is routed to the interest shards whose bucket set it touches,
+// and the bounded shard-worker pool filters, seals and ships one frame per
+// shard outside d.mu. broadcast marks stability-only triggers (heartbeat
+// tick, gossip receipt): only then is a pure cut advance fanned to every
+// shard — between broadcasts, subscribers learn new cuts from the frames
+// that carry their transactions.
 func (d *DC) notifySubscribersLocked(broadcast bool) {
 	if len(d.subs) == 0 {
 		return
 	}
-	stable := d.mesh.KStable(d.cfg.K)
-	if d.fan != nil {
-		d.fan.scan(stable, broadcast)
-		return
-	}
-	for _, sub := range d.subs {
-		if d.cfg.Inline {
-			d.pushInlineLocked(sub, stable)
-			continue
-		}
-		var batch []*txn.Transaction
-		idx := sub.logIdx
-		for idx < len(d.log) {
-			t := d.log[idx]
-			if !t.VisibleAt(stable) {
-				break
-			}
-			idx++
-			batch = append(batch, t) // unfiltered; the worker restricts
-		}
-		// KStable is monotone, so sub.stable (a previous cut) is always ≤
-		// stable; enqueue when there is anything new to say.
-		if len(batch) == 0 && sub.stable.Equal(stable) {
-			continue
-		}
-		sub.logIdx = idx
-		// KStable builds a fresh vector per call and nothing downstream
-		// mutates a cut in place, so every subscriber shares this one.
-		sub.stable = stable
-		sub.outMu.Lock()
-		sub.pending = append(sub.pending, batch...)
-		sub.pendingStable = stable
-		sub.outMu.Unlock()
-		d.pushDepth.Add(int64(len(batch)))
-		sub.signal()
-	}
-}
-
-// pushInlineLocked is the pre-pipeline push: filter and send under d.mu.
-func (d *DC) pushInlineLocked(sub *subscription, stable vclock.Vector) {
-	var batch []*txn.Transaction
-	idx := sub.logIdx
-	for idx < len(d.log) {
-		t := d.log[idx]
-		if !t.VisibleAt(stable) {
-			break
-		}
-		idx++
-		if filtered := t.RestrictShared(func(u txn.Update) bool { return sub.interest[u.Object] }); filtered != nil {
-			batch = append(batch, filtered)
-		}
-	}
-	if len(batch) == 0 && sub.stable.Equal(stable) {
-		return
-	}
-	msg := wire.SealPushFrame(d.cfg.Name, batch, stable)
-	d.obsPushBatch.Observe(int64(len(batch)))
-	if err := d.node.Send(sub.node, msg); err != nil {
-		// Subscriber unreachable (offline or migrated): leave the cursor
-		// in place; the next trigger retries, and a Resume subscribe
-		// rewinds it if the node reconnects elsewhere.
-		return
-	}
-	sub.logIdx = idx
-	sub.stable = stable
-}
-
-// runPushWorker drains one subscriber's outbox until the subscription or the
-// DC is torn down.
-func (d *DC) runPushWorker(sub *subscription) {
-	defer d.pipeWG.Done()
-	for {
-		select {
-		case <-d.pipeStop:
-			return
-		case <-sub.stop:
-			return
-		case <-sub.notify:
-			d.flushSub(sub)
-		}
-	}
-}
-
-// flushSub filters and ships everything pending for one subscriber. outMu is
-// held across the pop+send so a concurrent rewind (subscribe with Resume,
-// fetchObject, RecheckVisibility) can never interleave between consuming the
-// outbox and handing its contents to the network; sends themselves only
-// schedule delivery, so the hold is short. Transactions whose interest
-// restriction is empty are dropped here — same fate the inline path gave
-// them at scan time.
-func (d *DC) flushSub(sub *subscription) {
-	sub.outMu.Lock()
-	defer sub.outMu.Unlock()
-	for len(sub.pending) > 0 || (sub.pendingStable != nil && !sub.pendingStable.Equal(sub.sentStable)) {
-		pending := sub.pending
-		sub.pending = nil
-		stable := sub.pendingStable
-		d.pushDepth.Add(-int64(len(pending)))
-		var batch []*txn.Transaction
-		for _, t := range pending {
-			if filtered := t.RestrictShared(func(u txn.Update) bool { return sub.interest[u.Object] }); filtered != nil {
-				batch = append(batch, filtered)
-			}
-		}
-		if len(batch) == 0 && stable.Equal(sub.sentStable) {
-			continue
-		}
-		// The frame shares the stable cut and filtered views read-only
-		// (sealed frame contract); no per-subscriber clones.
-		msg := wire.SealPushFrame(d.cfg.Name, batch, stable)
-		d.obsPushBatch.Observe(int64(len(batch)))
-		if err := d.node.Send(sub.node, msg); err != nil {
-			// Subscriber unreachable: requeue and stop; the next commit or
-			// heartbeat signals a retry, and a Resume subscribe rewinds the
-			// cursor if the node reconnects elsewhere.
-			sub.pending = append(pending, sub.pending...)
-			d.pushDepth.Add(int64(len(pending)))
-			return
-		}
-		sub.sentStable = stable
-	}
+	d.fan.scan(d.mesh.KStable(d.cfg.K), broadcast)
 }
 
 // --- migrated transactions (paper §3.9) ---
@@ -1633,27 +1477,16 @@ func (d *DC) RecheckVisibility() {
 	}
 	// Rewind every subscriber to the start of the log: retroactively
 	// unmasked transactions were never delivered, and subscribers
-	// deduplicate replays by dot. Pipelined outboxes are discarded — they may
-	// hold transactions the new policy masks, and the rescan below re-enqueues
-	// everything still visible. Sharded, the log rebuild shifted every index,
-	// so the fanout generation is bumped (in-flight flushes of the old
-	// generation abandon their cursors) and every cursor restarts at zero.
-	var gen uint64
-	if d.fan != nil {
-		gen = d.fan.reset()
-	}
+	// deduplicate replays by dot. The log rebuild shifted every index, so
+	// the fanout generation is bumped (queued segments are discarded — they
+	// may hold transactions the new policy masks — and in-flight flushes of
+	// the old generation abandon their cursors) and every cursor restarts at
+	// zero; the rescan below re-routes everything still visible.
+	gen := d.fan.reset()
 	for _, sub := range d.subs {
-		sub.logIdx = 0
-		if d.cfg.Inline {
-			continue
-		}
 		sub.outMu.Lock()
-		if d.fan != nil {
-			sub.deliveredIdx = 0
-			sub.fanGen = gen
-		}
-		d.pushDepth.Add(-int64(len(sub.pending)))
-		sub.pending = nil
+		sub.deliveredIdx = 0
+		sub.fanGen = gen
 		sub.outMu.Unlock()
 	}
 	d.notifySubscribersLocked(false)

@@ -1,10 +1,9 @@
 // Interest-sharded push fan-out.
 //
-// PR 3's pipelined push kept one outbox, one goroutine and one interest
-// filter per subscriber: linear state, linear wakeups, and a filter pass per
-// subscriber per flush. This file replaces that with interest shards — one
-// shard per distinct interest *signature* (the sorted set of buckets a
-// subscriber watches). The commit scan routes each newly K-stable
+// Subscribers are grouped into interest shards — one shard per distinct
+// interest *signature* (the sorted set of buckets a subscriber watches) — so
+// push state, wakeups and filter passes scale with the number of signatures,
+// not subscribers. The commit scan routes each newly K-stable
 // transaction once per shard whose bucket set it touches (a bucket →
 // shard-set index), a bounded worker pool drains dirty shards, and every
 // subscriber of a shard receives the same sealed wire.PushFrame: one filter
@@ -18,11 +17,11 @@
 //
 // Delivery bookkeeping is a per-subscriber cursor (deliveredIdx) over the
 // DC's visible log, advanced only after the network accepted a frame, plus
-// the sentStable cut inherited from the per-subscriber path — visibility
-// never outruns delivery. Cursors behind a shard's queued segments (send
-// failure, resume rewind, interest rebalancing, mid-run join) are healed by
-// a per-cursor repair frame built from the log; members that share a cursor
-// share the repair too.
+// the sentStable cut last handed to the network — visibility never outruns
+// delivery. Cursors behind a shard's queued segments (send failure, resume
+// rewind, interest rebalancing, mid-run join) are healed by a per-cursor
+// repair frame built from the log; members that share a cursor share the
+// repair too.
 package dc
 
 import (
@@ -165,10 +164,10 @@ func (f *fanout) place(sub *subscription) {
 		}
 		sh.subs[sub] = true
 		sub.shard = sh
-		if sub.relay && !f.d.cfg.DirectPush {
+		if sub.relay {
 			f.attachTreeLocked(sh, sub)
 		}
-	} else if sub.relay && sub.tree == nil && !f.d.cfg.DirectPush {
+	} else if sub.relay && sub.tree == nil {
 		// The subscription upgraded to relay-capable (re-subscribe with the
 		// Relay bit) without changing its signature.
 		f.attachTreeLocked(sub.shard, sub)
@@ -403,7 +402,7 @@ func (d *DC) flushShard(sh *pushShard, segs []pushSeg, members []*subscription, 
 	// sealed frame once, via their relay root. Members a tree covers are
 	// skipped by the direct grouping below.
 	var covered map[*subscription]bool
-	if !d.cfg.DirectPush && hasTrees {
+	if hasTrees {
 		var plans []treeSend
 		plans, covered = d.planTreeSends(sh, hi, stable, gen)
 		d.sendTrees(sh, plans, segs, starts, filtered, stable, hi, gen)

@@ -291,7 +291,7 @@ func (d *DC) ensureBucket(bucket string) error {
 // read availability at exactly the moment a subscriber is waiting for its
 // seed. See DESIGN.md §4h.
 func (d *DC) backfillBucket(bucket string, st *bucketState) error {
-	cMin := d.State()
+	cMin := d.pendingCut()
 	const rounds = 20
 	// A bucket may only be declared genesis-empty (live with no seed) after
 	// the "no live holder anywhere" verdict has held for this many consecutive
@@ -361,6 +361,23 @@ func (d *DC) backfillBucket(bucket string, st *bucketState) error {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return fmt.Errorf("no replica could serve a cut covering %v", cMin)
+}
+
+// pendingCut returns C_min for a backfill, read after the bucket was marked
+// pending and the want floor raised. Stubs of older scope must not advance
+// the state vector past it: receiveReplicated checks staleness under d.mu,
+// so a batch admitted after this read was checked against the raised floor,
+// and the stubs the mesh still buffers for missing dependencies (admitted
+// from batches that passed the old floor) are dropped here, in the same
+// critical section. They were never applied, so this DC's state vector does
+// not cover them and anti-entropy re-sends them with a fresh scope. Without
+// this, a stub admitted after C_min could carry an effect on the bucket that
+// the serving replica's cut does not include either, and it would be lost.
+func (d *DC) pendingCut() vclock.Vector {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.mesh.DropPendingStubs()
+	return d.state.Clone()
 }
 
 // probeBucketViews synchronously refreshes the mesh's view of every peer's

@@ -1,10 +1,7 @@
 package dc
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +10,6 @@ import (
 	"colony/internal/crdt"
 	"colony/internal/simnet"
 )
-
-// recordPipeline gates the BENCH_pipeline.json recorder (make bench-pipeline).
-var recordPipeline = flag.Bool("record-pipeline", false,
-	"run the inline-vs-pipelined commit benchmarks and write BENCH_pipeline.json at the repo root")
 
 const (
 	benchDCs        = 3
@@ -30,9 +23,8 @@ const (
 )
 
 // benchCluster builds the benchmark topology: 3 DCs, WAL-backed with durable
-// commit acks (SyncWrites), capacity-modelled replication receive, inline or
-// pipelined write path.
-func benchCluster(b *testing.B, inline bool) []*DC {
+// commit acks (SyncWrites), capacity-modelled replication receive.
+func benchCluster(b *testing.B) []*DC {
 	b.Helper()
 	net := simnet.New(simnet.Config{})
 	b.Cleanup(net.Close)
@@ -48,7 +40,6 @@ func benchCluster(b *testing.B, inline bool) []*DC {
 			SyncWrites:  true,
 			ServiceTime: benchServiceTime,
 			Workers:     benchWorkers,
-			Inline:      inline,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -60,12 +51,13 @@ func benchCluster(b *testing.B, inline bool) []*DC {
 	return dcs
 }
 
-// benchCommitConverge runs b.N counter increments from benchCommitters
-// concurrent goroutines spread over the DCs, then waits inside the timed
-// region until every DC has applied every commit — the end-to-end write-path
-// throughput, not just local commit latency.
-func benchCommitConverge(b *testing.B, inline bool) {
-	dcs := benchCluster(b, inline)
+// BenchmarkCommitConvergePipelined runs b.N counter increments from
+// benchCommitters concurrent goroutines spread over the DCs, then waits inside
+// the timed region until every DC has applied every commit — the end-to-end
+// write-path throughput (per-peer batched senders, group-commit WAL, sharded
+// push fan-out), not just local commit latency.
+func BenchmarkCommitConvergePipelined(b *testing.B) {
+	dcs := benchCluster(b)
 	b.ResetTimer()
 	var remaining atomic.Int64
 	remaining.Store(int64(b.N))
@@ -101,73 +93,4 @@ func counterValueB(b *testing.B, d *DC) int64 {
 		return 0
 	}
 	return obj.(*crdt.Counter).Total()
-}
-
-// BenchmarkCommitConvergeInline is the pre-pipeline baseline: per-tx ReplTx
-// fan-out built inside commitAt, push under the DC lock, an fsync per commit.
-func BenchmarkCommitConvergeInline(b *testing.B) { benchCommitConverge(b, true) }
-
-// BenchmarkCommitConvergePipelined is the staged path: per-peer batched
-// senders, group-commit WAL, async push workers.
-func BenchmarkCommitConvergePipelined(b *testing.B) { benchCommitConverge(b, false) }
-
-// benchResult is one side of the recorded A/B comparison.
-type benchResult struct {
-	N        int     `json:"n"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	TxPerSec float64 `json:"tx_per_sec"`
-}
-
-func toResult(r testing.BenchmarkResult) benchResult {
-	ns := float64(r.NsPerOp())
-	return benchResult{N: r.N, NsPerOp: ns, TxPerSec: 1e9 / ns}
-}
-
-// TestRecordPipelineBench runs both benchmarks and records the comparison to
-// BENCH_pipeline.json at the repo root. Gated behind -record-pipeline so the
-// normal test run stays fast; invoked via `make bench-pipeline`.
-func TestRecordPipelineBench(t *testing.T) {
-	if !*recordPipeline {
-		t.Skip("run with -record-pipeline (make bench-pipeline) to record BENCH_pipeline.json")
-	}
-	inline := toResult(testing.Benchmark(BenchmarkCommitConvergeInline))
-	pipelined := toResult(testing.Benchmark(BenchmarkCommitConvergePipelined))
-	speedup := pipelined.TxPerSec / inline.TxPerSec
-	out := struct {
-		Generated string `json:"generated"`
-		Bench     string `json:"bench"`
-		Config    struct {
-			DCs         int    `json:"dcs"`
-			Committers  int    `json:"committers"`
-			WAL         bool   `json:"wal"`
-			SyncWrites  bool   `json:"sync_writes"`
-			ServiceTime string `json:"service_time"`
-		} `json:"config"`
-		Inline    benchResult `json:"inline"`
-		Pipelined benchResult `json:"pipelined"`
-		Speedup   float64     `json:"speedup"`
-	}{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Bench:     "BenchmarkCommitConverge{Inline,Pipelined}: commits from concurrent committers until all DCs converge",
-		Inline:    inline,
-		Pipelined: pipelined,
-		Speedup:   speedup,
-	}
-	out.Config.DCs = benchDCs
-	out.Config.Committers = benchCommitters
-	out.Config.WAL = true
-	out.Config.SyncWrites = true
-	out.Config.ServiceTime = benchServiceTime.String()
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_pipeline.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("inline %.0f tx/s, pipelined %.0f tx/s, speedup %.2fx", inline.TxPerSec, pipelined.TxPerSec, speedup)
-	if speedup < 2 {
-		t.Errorf("pipelined speedup %.2fx, acceptance requires >=2x", speedup)
-	}
 }

@@ -604,9 +604,6 @@ func (d *DC) runTreeSweeper() {
 // names (tests and debugging). Trees below the two-member send threshold are
 // included; subscribers outside any tree are not.
 func (d *DC) TreeTopology() map[string][]string {
-	if d.fan == nil {
-		return nil
-	}
 	out := make(map[string][]string)
 	d.fan.mu.Lock()
 	for _, sh := range d.fan.shards {

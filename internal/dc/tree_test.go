@@ -168,34 +168,69 @@ func TestTreeDegreeBounds(t *testing.T) {
 }
 
 // TestTreeMixedRelayAndDirect: subscribers that never declared the Relay
-// capability share the shard but stay outside every tree and keep receiving
-// plain direct frames — tree mode must not change their protocol.
+// capability stay outside every tree and keep receiving plain direct frames
+// — tree multicast must not change their protocol. Mixed with relay-capable
+// members they share the shard with a tree; an all-non-relay population
+// builds no trees and sends no tree frames at all.
 func TestTreeMixedRelayAndDirect(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	d := singleDC(t, net, nil)
+	for _, tc := range []struct {
+		name  string
+		relay []bool
+	}{
+		{"mixed", []bool{true, true, false}},
+		{"all-direct", []bool{false, false, false, false}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := simnet.New(simnet.Config{})
+			defer net.Close()
+			reg := obs.New()
+			d := singleDC(t, net, func(cfg *Config) { cfg.Obs = reg })
 
-	ra := newTreeRecorder(net, "relayA", true)
-	rb := newTreeRecorder(net, "relayB", true)
-	plain := newPushRecorder(net, "plainC", true)
-	ra.subscribeRelay(t, "dc0", alphaID)
-	rb.subscribeRelay(t, "dc0", alphaID)
-	plain.subscribe(t, "dc0", false, nil, alphaID)
-
-	for _, children := range d.TreeTopology() {
-		for _, c := range children {
-			if c == "plainC" {
-				t.Fatal("non-relay subscriber was placed in a tree")
+			recs := make([]*treeRecorder, len(tc.relay))
+			direct := make(map[string]bool)
+			for i, relay := range tc.relay {
+				r := newTreeRecorder(net, "sub"+string(rune('A'+i)), true)
+				if relay {
+					r.subscribeRelay(t, "dc0", alphaID)
+				} else {
+					r.subscribe(t, "dc0", false, nil, alphaID)
+					direct[r.name] = true
+				}
+				recs[i] = r
 			}
-		}
+			topo := d.TreeTopology()
+			for root, children := range topo {
+				for _, n := range append([]string{root}, children...) {
+					if direct[n] {
+						t.Fatalf("non-relay subscriber %s was placed in a tree", n)
+					}
+				}
+			}
+			commitN(t, d, alphaID, 5)
+			waitFor(t, 2*time.Second, func() bool {
+				for _, r := range recs {
+					if r.count("alpha") != 5 {
+						return false
+					}
+				}
+				return true
+			}, "pushes never arrived")
+			for _, r := range recs {
+				if direct[r.name] && (r.forwards.Load() != 0 || r.acks.Load() != 0) {
+					t.Errorf("non-relay subscriber %s handled tree frames", r.name)
+				}
+				r.checkClean(t)
+			}
+			if len(direct) == len(recs) {
+				if len(topo) != 0 {
+					t.Errorf("all-non-relay population built trees: %v", topo)
+				}
+				if n := reg.Snapshot().Counters["dc.tree_assigns"]; n != 0 {
+					t.Errorf("dc.tree_assigns = %d with no relay-capable subscriber", n)
+				}
+			}
+		})
 	}
-	commitN(t, d, alphaID, 5)
-	waitFor(t, 2*time.Second, func() bool {
-		return ra.count("alpha") == 5 && rb.count("alpha") == 5 && plain.count("alpha") == 5
-	}, "mixed-mode pushes never arrived")
-	ra.checkClean(t)
-	rb.checkClean(t)
-	plain.checkClean(t)
 }
 
 // TestTreeAckFailedChildRewind: when the root cannot reach a child, its
@@ -530,42 +565,5 @@ func TestTreeAckRewindsDepartedMember(t *testing.T) {
 	sub.outMu.Unlock()
 	if got >= hi {
 		t.Fatalf("departed child's deliveredIdx = %d, want rewound to %d", got, plan.di)
-	}
-}
-
-// TestTreeDirectPushFlag: the A/B escape hatch restores PR 5 exactly — no
-// trees are built even for relay-capable subscribers, every frame is a
-// direct send, and delivery is unchanged.
-func TestTreeDirectPushFlag(t *testing.T) {
-	net := simnet.New(simnet.Config{})
-	defer net.Close()
-	reg := obs.New()
-	d := singleDC(t, net, func(cfg *Config) { cfg.DirectPush = true; cfg.Obs = reg })
-
-	recs := make([]*treeRecorder, 4)
-	for i := range recs {
-		recs[i] = newTreeRecorder(net, "relay"+string(rune('A'+i)), true)
-		recs[i].subscribeRelay(t, "dc0", alphaID)
-	}
-	if topo := d.TreeTopology(); len(topo) != 0 {
-		t.Fatalf("DirectPush built trees: %v", topo)
-	}
-	commitN(t, d, alphaID, 6)
-	waitFor(t, 2*time.Second, func() bool {
-		for _, r := range recs {
-			if r.count("alpha") != 6 {
-				return false
-			}
-		}
-		return true
-	}, "direct pushes never arrived")
-	for _, r := range recs {
-		if r.forwards.Load() != 0 || r.acks.Load() != 0 {
-			t.Error("DirectPush mode sent tree frames")
-		}
-		r.checkClean(t)
-	}
-	if n := reg.Snapshot().Counters["dc.tree_assigns"]; n != 0 {
-		t.Errorf("dc.tree_assigns = %d in DirectPush mode", n)
 	}
 }

@@ -194,6 +194,11 @@ type Node struct {
 	// failStreak/nextTry implement the commit pipeline's backoff.
 	failStreak int
 	nextTry    time.Time
+	// inflight is the transaction whose EdgeCommit call is outstanding;
+	// inflightDone is closed once its reply has been processed (see
+	// awaitInflightLocked).
+	inflight     *txn.Transaction
+	inflightDone chan struct{}
 
 	// Instrumentation handles (nil-safe no-ops without a registry).
 	obsReads     *obs.Counter
@@ -604,6 +609,7 @@ func (n *Node) subscribe(dc string, ids []txn.ObjectID, resume bool, since vcloc
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.awaitInflightLocked(ids)
 	for _, id := range ids {
 		n.interest[id] = true
 	}
@@ -863,6 +869,9 @@ func (n *Node) fetchMiss(id txn.ObjectID, kind crdt.Kind, at vclock.Vector) (crd
 	}
 	n.mu.Lock()
 	if !n.st.Has(id) {
+		n.awaitInflightLocked([]txn.ObjectID{id})
+	}
+	if !n.st.Has(id) {
 		n.st.Seed(id, obj, st.Vec, st.Folded...)
 		n.joinState(st.Vec) // see subscribe: bases stay ≤ state
 	}
@@ -1045,9 +1054,14 @@ func (n *Node) drainUnacked() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
+		done := make(chan struct{})
+		n.mu.Lock()
+		n.inflight, n.inflightDone = head, done
+		n.mu.Unlock()
 		reply, err := n.node.Call(ctx, dcName, wire.EdgeCommit{Tx: cp})
 		cancel()
 		if err != nil {
+			n.endSend()
 			n.recordFailure()
 			return // offline; retry after backoff
 		}
@@ -1074,6 +1088,7 @@ func (n *Node) drainUnacked() {
 			if len(n.unacked) > 0 && n.unacked[0].Dot == ack.Dot {
 				n.unacked = n.unacked[1:]
 			}
+			n.endSendLocked()
 			n.mu.Unlock()
 			if ackHook != nil {
 				ackHook(ack)
@@ -1082,14 +1097,66 @@ func (n *Node) drainUnacked() {
 			// Causal incompatibility with this DC (paper §3.8): the node is
 			// effectively disconnected until it migrates or the DC catches
 			// up. Keep the transaction queued and back off.
+			n.endSend()
 			n.stats.txNacked.Add(1)
 			n.obsNacked.Inc()
 			n.recordFailure()
 			return
 		default:
+			n.endSend()
 			return
 		}
 	}
+}
+
+// endSendLocked marks the outstanding commit call's reply as processed.
+// Caller holds n.mu.
+func (n *Node) endSendLocked() {
+	if n.inflightDone != nil {
+		close(n.inflightDone)
+	}
+	n.inflight, n.inflightDone = nil, nil
+}
+
+// endSend is endSendLocked for callers that do not hold n.mu.
+func (n *Node) endSend() {
+	n.mu.Lock()
+	n.endSendLocked()
+	n.mu.Unlock()
+}
+
+// awaitInflightLocked runs before seeding objects from a DC reply. The DC
+// may already have committed the transaction whose commit call is still in
+// flight, so the seed can contain that transaction's effects while the
+// store still holds it without commit stamps. For an object the store does
+// not hold (a group parent executes members' transactions without holding
+// their objects), Seed would then re-attach the update on top of a base
+// that already contains it, counting it twice. When the in-flight
+// transaction touches such an object, this waits for its reply to be
+// processed, so the promotion lands first and Seed sees the transaction as
+// covered by the base. Only the call outstanding when the reply arrived
+// matters: commit calls go one at a time, so an earlier one has already
+// been processed, and a later one is sent after the DC served the seed.
+// Caller holds n.mu, which is released while waiting.
+func (n *Node) awaitInflightLocked(ids []txn.ObjectID) {
+	if n.inflight == nil {
+		return
+	}
+	touches := false
+	for _, u := range n.inflight.Updates {
+		for _, id := range ids {
+			if u.Object == id && !n.st.Has(id) {
+				touches = true
+			}
+		}
+	}
+	if !touches {
+		return
+	}
+	done := n.inflightDone
+	n.mu.Unlock()
+	<-done
+	n.mu.Lock()
 }
 
 // recordFailure grows the commit pipeline's backoff window.

@@ -102,11 +102,23 @@ type Replica struct {
 	exec      ExecuteFn
 	instances map[InstanceID]*instance
 	nextSlot  uint64
-	// keyLast tracks, per interference key, the most recent instance
-	// touching it; depending on it transitively covers older ones.
-	keyLast  map[string]InstanceID
-	executed map[string]bool // command IDs already executed
+	// keyLast tracks, per interference key, the highest slot of every
+	// command leader's instances touching it. A leader's instance always
+	// depends on its own previous instance on the key, so depending on the
+	// highest one transitively covers the older ones. A single pointer per
+	// key would not: an intermediate instance's committed deps need not
+	// include what this replica saw before it.
+	keyLast  map[string]map[string]uint64
+	executed map[string]bool // command IDs whose exec callback has returned
 	waiters  map[string][]chan struct{}
+	// execQ holds commands already ordered for execution whose exec
+	// callback has not run yet; queued guards it against duplicate command
+	// IDs. One goroutine at a time (draining) runs the callbacks, so they
+	// observe the agreed order even when several goroutines find
+	// executable instances concurrently.
+	execQ    []Command
+	queued   map[string]bool
+	draining bool
 }
 
 // NewReplica creates a replica named name. Peers lists the other replicas;
@@ -119,8 +131,9 @@ func NewReplica(name string, peers []string, send Transport, exec ExecuteFn) *Re
 		send:      send,
 		exec:      exec,
 		instances: make(map[InstanceID]*instance),
-		keyLast:   make(map[string]InstanceID),
+		keyLast:   make(map[string]map[string]uint64),
 		executed:  make(map[string]bool),
+		queued:    make(map[string]bool),
 		waiters:   make(map[string][]chan struct{}),
 	}
 	return r
@@ -159,7 +172,17 @@ func (r *Replica) Propose(cmd Command) InstanceID {
 	r.mu.Lock()
 	r.nextSlot++
 	id := InstanceID{Replica: r.name, Slot: r.nextSlot}
-	deps, seq := r.interferenceLocked(cmd.Keys)
+	deps, seq := r.interferenceLocked(cmd.Keys, "")
+	// A leader's commands also depend on its previous command whatever
+	// their keys: they are one session's commits, and a later one may build
+	// on an earlier one that has not committed yet (read-your-writes), so
+	// execution must keep their proposal order.
+	if prev := r.instances[InstanceID{Replica: r.name, Slot: r.nextSlot - 1}]; prev != nil {
+		deps[prev.id] = true
+		if prev.seq >= seq {
+			seq = prev.seq + 1
+		}
+	}
 	inst := &instance{
 		id: id, cmd: cmd, deps: deps, seq: seq,
 		status: statusPreAccepted, leading: true,
@@ -185,12 +208,19 @@ func (r *Replica) Propose(cmd Command) InstanceID {
 }
 
 // interferenceLocked computes the dependencies and sequence number for a
-// command at this replica.
-func (r *Replica) interferenceLocked(keys []string) (map[InstanceID]bool, uint64) {
+// command at this replica. Instances led by skip are left out: a leader's
+// own PreAccept already carries its previous instance on each key, and a
+// later instance of the same leader that arrived first must not become a
+// dependency of an earlier one.
+func (r *Replica) interferenceLocked(keys []string, skip string) (map[InstanceID]bool, uint64) {
 	deps := make(map[InstanceID]bool)
 	var seq uint64
 	for _, k := range keys {
-		if last, ok := r.keyLast[k]; ok {
+		for leader, slot := range r.keyLast[k] {
+			if leader == skip {
+				continue
+			}
+			last := InstanceID{Replica: leader, Slot: slot}
 			deps[last] = true
 			if li := r.instances[last]; li != nil && li.seq > seq {
 				seq = li.seq
@@ -200,10 +230,19 @@ func (r *Replica) interferenceLocked(keys []string) (map[InstanceID]bool, uint64
 	return deps, seq + 1
 }
 
-// registerKeysLocked records the instance as the latest toucher of its keys.
+// registerKeysLocked records the instance as a toucher of its keys; per
+// leader only the highest slot is kept, so a late message for an older
+// instance never moves the pointer backwards.
 func (r *Replica) registerKeysLocked(keys []string, id InstanceID) {
 	for _, k := range keys {
-		r.keyLast[k] = id
+		last := r.keyLast[k]
+		if last == nil {
+			last = make(map[string]uint64)
+			r.keyLast[k] = last
+		}
+		if id.Slot > last[id.Replica] {
+			last[id.Replica] = id.Slot
+		}
 	}
 }
 
@@ -232,7 +271,7 @@ func (r *Replica) HandleMessage(from string, msg any) bool {
 // onPreAccept merges the leader's view with local interference and replies.
 func (r *Replica) onPreAccept(from string, m PreAccept) {
 	r.mu.Lock()
-	localDeps, localSeq := r.interferenceLocked(m.Cmd.Keys)
+	localDeps, localSeq := r.interferenceLocked(m.Cmd.Keys, m.Inst.Replica)
 	merged := make(map[InstanceID]bool, len(m.Deps)+len(localDeps))
 	for _, d := range m.Deps {
 		merged[d] = true
@@ -472,7 +511,7 @@ func (r *Replica) RetryPending(olderThan time.Duration) {
 }
 
 // Executed reports whether the command with the given ID has been executed
-// locally.
+// locally (its exec callback has returned).
 func (r *Replica) Executed(cmdID string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -502,46 +541,62 @@ func (r *Replica) WaitExecuted(cmdID string, timeout time.Duration) bool {
 // --- execution ---
 
 // tryExecute runs every committed instance whose dependency closure is
-// committed, in dependency order, breaking strongly connected components by
-// (seq, instance id).
+// committed, in dependency order, ordering strongly connected components
+// with orderComponent. Instances are ordered under the lock and appended to
+// execQ; the exec callbacks run outside it, from one goroutine at a time, in
+// queue order. A caller that finds another goroutine draining leaves its
+// commands to that goroutine.
 func (r *Replica) tryExecute() {
+	r.mu.Lock()
 	for {
-		r.mu.Lock()
 		batch := r.findExecutableLocked()
 		if len(batch) == 0 {
-			r.mu.Unlock()
-			return
+			break
 		}
-		var cmds []Command
-		var wake []chan struct{}
 		for _, inst := range batch {
 			inst.status = statusExecuted
-			if inst.cmd.ID != "" && !r.executed[inst.cmd.ID] {
-				r.executed[inst.cmd.ID] = true
-				cmds = append(cmds, inst.cmd)
-				wake = append(wake, r.waiters[inst.cmd.ID]...)
-				delete(r.waiters, inst.cmd.ID)
+			if id := inst.cmd.ID; id != "" && !r.executed[id] && !r.queued[id] {
+				r.queued[id] = true
+				r.execQ = append(r.execQ, inst.cmd)
 			}
 		}
+	}
+	if r.draining {
+		r.mu.Unlock()
+		return
+	}
+	r.draining = true
+	for len(r.execQ) > 0 {
+		cmds := r.execQ
+		r.execQ = nil
 		exec := r.exec
 		r.mu.Unlock()
 		for _, c := range cmds {
 			if exec != nil {
 				exec(c)
 			}
+			r.mu.Lock()
+			delete(r.queued, c.ID)
+			r.executed[c.ID] = true
+			wake := r.waiters[c.ID]
+			delete(r.waiters, c.ID)
+			r.mu.Unlock()
+			for _, ch := range wake {
+				close(ch)
+			}
 		}
-		for _, ch := range wake {
-			close(ch)
-		}
+		r.mu.Lock()
 	}
+	r.draining = false
+	r.mu.Unlock()
 }
 
 // findExecutableLocked computes the executable prefix of the committed
 // dependency graph: SCCs in topological order, cut at the first component
 // with a dependency that is neither executed nor scheduled earlier in the
 // prefix (i.e. an uncommitted or unknown instance). Within an SCC, commands
-// run in (seq, instance id) order — identical at every replica, which is
-// what makes the visibility order a total order for interfering commands.
+// run in the order orderComponent gives — identical at every replica, which
+// is what makes the visibility order a total order for interfering commands.
 func (r *Replica) findExecutableLocked() []*instance {
 	// Standard Tarjan over committed-but-unexecuted instances. Edges to
 	// executed deps are skipped; edges to uncommitted/unknown deps are not
@@ -633,21 +688,51 @@ func (r *Replica) findExecutableLocked() []*instance {
 		if !ok {
 			continue
 		}
-		sort.Slice(comp, func(i, j int) bool {
-			if comp[i].seq != comp[j].seq {
-				return comp[i].seq < comp[j].seq
-			}
-			if comp[i].id.Replica != comp[j].id.Replica {
-				return comp[i].id.Replica < comp[j].id.Replica
-			}
-			return comp[i].id.Slot < comp[j].id.Slot
-		})
+		orderComponent(comp)
 		for _, in := range comp {
 			done[in.id] = true
 			out = append(out, in)
 		}
 	}
 	return out
+}
+
+// orderComponent sorts one strongly connected component into execution order:
+// by (seq, instance id), except that each leader's own instances keep their
+// slot order. Seqs grow independently during agreement, so a leader's later
+// instance can end up with the lower seq; its commands are one session's
+// commits, which must become visible in the order they were made. The
+// instances of each leader are therefore re-dealt, in slot order, onto the
+// positions the (seq, id) sort gave that leader. The result depends only on
+// the component's committed attributes, so every replica computes the same
+// order.
+func orderComponent(comp []*instance) {
+	sort.Slice(comp, func(i, j int) bool {
+		if comp[i].seq != comp[j].seq {
+			return comp[i].seq < comp[j].seq
+		}
+		if comp[i].id.Replica != comp[j].id.Replica {
+			return comp[i].id.Replica < comp[j].id.Replica
+		}
+		return comp[i].id.Slot < comp[j].id.Slot
+	})
+	positions := make(map[string][]int)
+	for i, in := range comp {
+		positions[in.id.Replica] = append(positions[in.id.Replica], i)
+	}
+	for _, pos := range positions {
+		if len(pos) < 2 {
+			continue
+		}
+		own := make([]*instance, len(pos))
+		for k, p := range pos {
+			own[k] = comp[p]
+		}
+		sort.Slice(own, func(i, j int) bool { return own[i].id.Slot < own[j].id.Slot })
+		for k, p := range pos {
+			comp[p] = own[k]
+		}
+	}
 }
 
 // --- helpers ---

@@ -287,3 +287,128 @@ func TestConcurrentMixedWorkloadConverges(t *testing.T) {
 		}
 	}
 }
+
+// TestExecCallbacksKeepAgreedOrder: when one goroutine is inside the exec
+// callback and another commits a dependent command, the second command's
+// callback must wait for the first, not overtake it.
+func TestExecCallbacksKeepAgreedOrder(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		log     []string
+		entered = make(chan struct{})
+		release = make(chan struct{})
+	)
+	exec := func(c Command) {
+		if c.ID == "c1" {
+			close(entered)
+			<-release
+		}
+		mu.Lock()
+		log = append(log, c.ID)
+		mu.Unlock()
+	}
+	r := NewReplica("p0", nil, func(string, any) {}, exec)
+	go r.Propose(Command{ID: "c1", Keys: []string{"x"}})
+	<-entered
+	r.Propose(Command{ID: "c2", Keys: []string{"x"}})
+	if r.Executed("c2") {
+		t.Fatal("c2 reported executed while c1's callback is still running")
+	}
+	close(release)
+	waitUntil(t, time.Second, func() bool { return r.Executed("c2") }, "c2 never executed")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(log) != 2 || log[0] != "c1" || log[1] != "c2" {
+		t.Fatalf("exec order = %v, want [c1 c2]", log)
+	}
+}
+
+// TestPreAcceptDepsCoverEveryLeader: a replica's PreAccept reply names the
+// latest instance of every leader it has seen on the key. Naming only the
+// single latest instance loses older ones whenever that instance commits
+// without this replica's view, and a late message for an older instance must
+// not move a leader's pointer backwards.
+func TestPreAcceptDepsCoverEveryLeader(t *testing.T) {
+	var replies []PreAcceptOK
+	r := NewReplica("p2", []string{"p0", "p1", "p3", "p4"}, func(_ string, msg any) {
+		if ok, isOK := msg.(PreAcceptOK); isOK {
+			replies = append(replies, ok)
+		}
+	}, nil)
+	p01 := InstanceID{Replica: "p0", Slot: 1}
+	p02 := InstanceID{Replica: "p0", Slot: 2}
+	p11 := InstanceID{Replica: "p1", Slot: 1}
+	p31 := InstanceID{Replica: "p3", Slot: 1}
+	x := []string{"x"}
+	// p0's second instance overtakes its first, then p1 and p3 propose.
+	r.HandleMessage("p0", PreAccept{Inst: p02, Cmd: Command{ID: "b", Keys: x}, Deps: []InstanceID{p01}, Seq: 2})
+	r.HandleMessage("p0", PreAccept{Inst: p01, Cmd: Command{ID: "a", Keys: x}, Seq: 1})
+	r.HandleMessage("p1", PreAccept{Inst: p11, Cmd: Command{ID: "c", Keys: x}, Seq: 1})
+	r.HandleMessage("p3", PreAccept{Inst: p31, Cmd: Command{ID: "d", Keys: x}, Seq: 1})
+	if len(replies) != 4 {
+		t.Fatalf("got %d replies, want 4", len(replies))
+	}
+	// The late p0[1] must not depend on p0[2], which already depends on it.
+	if deps := replies[1].Deps; len(deps) != 0 {
+		t.Fatalf("p0[1] reply deps = %v, want none", deps)
+	}
+	got := make(map[InstanceID]bool)
+	for _, d := range replies[3].Deps {
+		got[d] = true
+	}
+	if !got[p02] || !got[p11] || len(got) != 2 {
+		t.Fatalf("p3[1] reply deps = %v, want [p0[2] p1[1]]", replies[3].Deps)
+	}
+}
+
+// TestLeaderCommandsChainAcrossKeys: a leader's command depends on its
+// previous command even when their keys differ (one session's commits).
+func TestLeaderCommandsChainAcrossKeys(t *testing.T) {
+	var sent []PreAccept
+	r := NewReplica("p0", []string{"p1", "p2"}, func(_ string, msg any) {
+		if pa, ok := msg.(PreAccept); ok {
+			sent = append(sent, pa)
+		}
+	}, nil)
+	first := r.Propose(Command{ID: "a", Keys: []string{"x"}})
+	second := r.Propose(Command{ID: "b", Keys: []string{"y"}})
+	var deps []InstanceID
+	var seq1, seq2 uint64
+	for _, pa := range sent {
+		switch pa.Inst {
+		case first:
+			seq1 = pa.Seq
+		case second:
+			deps, seq2 = pa.Deps, pa.Seq
+		}
+	}
+	if len(deps) != 1 || deps[0] != first {
+		t.Fatalf("second command deps = %v, want [%v]", deps, first)
+	}
+	if seq2 <= seq1 {
+		t.Fatalf("second command seq %d not above first's %d", seq2, seq1)
+	}
+}
+
+// TestOrderComponentKeepsLeaderSlotOrder: inside a dependency cycle, seqs may
+// put a leader's later instance first; execution must still follow each
+// leader's slot order, and interleave leaders by (seq, id) otherwise.
+func TestOrderComponentKeepsLeaderSlotOrder(t *testing.T) {
+	in := func(rep string, slot, seq uint64) *instance {
+		return &instance{id: InstanceID{Replica: rep, Slot: slot}, seq: seq}
+	}
+	comp := []*instance{in("p0", 1, 5), in("p1", 1, 3), in("p0", 2, 2), in("p1", 2, 4)}
+	orderComponent(comp)
+	var got []string
+	for _, c := range comp {
+		got = append(got, c.id.String())
+	}
+	// (seq, id) alone gives p0[2] p1[1] p1[2] p0[1]; p0's slots are re-dealt
+	// onto p0's positions in slot order.
+	want := []string{"p0[1]", "p1[1]", "p1[2]", "p0[2]"}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+}

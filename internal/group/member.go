@@ -348,9 +348,18 @@ func (m *Member) onExecute(cmd epaxos.Command) {
 }
 
 // adoptVisible makes a group-ordered transaction visible locally
-// (idempotent).
+// (idempotent). Transactions reach a member on several paths at once (its
+// own EPaxos execution, the parent's visibility pushes and sync pulls), each
+// in visibility order. A path that finds the dot already claimed by another
+// path still applies it when the claimer has not reached the store yet
+// (the store's dot filter settles the tie), so a path never moves on to a
+// later transaction before the earlier one is in the store: journals stay
+// in causal order, which base advancement's fold relies on.
 func (m *Member) adoptVisible(t *txn.Transaction) {
 	if !m.vis.add(t.Dot) {
+		if !m.node.Store().Contains(t.Dot) {
+			m.node.ApplyGroupTx(t.Clone())
+		}
 		return
 	}
 	m.node.ApplyGroupTx(t.Clone())

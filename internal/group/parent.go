@@ -279,7 +279,16 @@ func (p *Parent) materializeForMember(id txn.ObjectID, reqAt vclock.Vector) wire
 	if reqAt != nil && reqAt.LEQ(at) {
 		at = reqAt.Clone()
 	}
+	// The visibility snapshot and the object's group-visible history are
+	// taken together (onExecute extends both under p.mu), so Folded below
+	// names exactly the transactions the read baked in: one executed in
+	// between would otherwise be declared folded without being in the seed
+	// (lost at the member), or baked in without being declared (applied
+	// twice).
+	p.mu.Lock()
 	vis := p.vis.snapshot()
+	history := p.byObject[id]
+	p.mu.Unlock()
 	obj, err := p.node.Store().Read(id, at, store.ReadOptions{ExtraVisible: vis})
 	if err != nil {
 		// The group cache does not hold the object. Unlike a DC, the parent
@@ -298,13 +307,11 @@ func (p *Parent) materializeForMember(id txn.ObjectID, reqAt vclock.Vector) wire
 	// the reported cut must be declared folded so the member's store skips
 	// their re-delivery. A per-object index keeps this O(object history).
 	var folded []vclock.Dot
-	p.mu.Lock()
-	for _, t := range p.byObject[id] {
+	for _, t := range history {
 		if !t.VisibleAt(at) {
 			folded = append(folded, t.Dot)
 		}
 	}
-	p.mu.Unlock()
 	return wire.ObjectState{ID: id, Kind: obj.Kind(), Object: obj, Vec: at, Folded: folded}
 }
 
@@ -414,8 +421,8 @@ func (p *Parent) onExecute(cmd epaxos.Command) {
 	if st, ok := p.node.Store().Transaction(t.Dot); ok {
 		t = st
 	}
-	p.vis.add(t.Dot)
 	p.mu.Lock()
+	p.vis.add(t.Dot)
 	p.vislog = append(p.vislog, t)
 	idx := len(p.vislog) - 1
 	for _, id := range t.Objects() {

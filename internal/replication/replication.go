@@ -111,6 +111,27 @@ func (m *Mesh) drainLocked(localState vclock.Vector) []*txn.Transaction {
 	}
 }
 
+// DropPendingStubs discards the queued transactions that carry no updates —
+// the payload-stripped stubs of partial replication (and update-free
+// transactions, which lose nothing by the same treatment). The caller
+// relies on anti-entropy to re-send them; it reports how many were dropped.
+func (m *Mesh) DropPendingStubs() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	kept := m.pending[:0]
+	for _, p := range m.pending {
+		if len(p.Updates) > 0 {
+			kept = append(kept, p)
+		}
+	}
+	dropped := len(m.pending) - len(kept)
+	for i := len(kept); i < len(m.pending); i++ {
+		m.pending[i] = nil
+	}
+	m.pending = kept
+	return dropped
+}
+
 // PendingCount reports the number of transactions still waiting for
 // dependencies.
 func (m *Mesh) PendingCount() int {

@@ -40,29 +40,45 @@ func (s *Store) SetAutoAdvance(p AdvancePolicy) { s.policy = p }
 
 // maybeAutoAdvance fires the background advancement when the longest journal
 // an Apply just touched exceeds the policy threshold. Triggers coalesce: at
-// most one advancement runs at a time, and applies that arrive while one is
-// running re-trigger on their next threshold crossing. Journals therefore
-// stay bounded by the threshold plus the writes in flight during one fold.
+// most one advancement runs at a time, and a trigger that arrives while one
+// is running makes it fold once more when it finishes (with a fresh cut), so
+// the last writes of a burst are never left unfolded for want of a later
+// write. Journals therefore stay bounded by the threshold plus the writes in
+// flight during one fold.
 func (s *Store) maybeAutoAdvance(longest int) {
 	p := s.policy
 	if p.JournalThreshold <= 0 || (p.Cut == nil && p.CutFor == nil) || longest <= p.JournalThreshold {
 		return
 	}
+	// Flag first, then try to start: a running fold either sees the flag
+	// before it stops, or has already cleared advancing for us to claim.
+	s.refold.Store(true)
 	if !s.advancing.CompareAndSwap(false, true) {
 		return
 	}
 	go func() {
-		defer s.advancing.Store(false)
-		if p.CutFor != nil {
-			_ = s.AdvanceBuckets(p.CutFor)
-			return
+		for {
+			s.refold.Store(false)
+			s.foldOnce(p)
+			s.advancing.Store(false)
+			if !s.refold.Load() || !s.advancing.CompareAndSwap(false, true) {
+				return
+			}
 		}
-		cut := p.Cut()
-		if len(cut) == 0 {
-			return
-		}
-		_ = s.Advance(cut, p.KeepDots)
 	}()
+}
+
+// foldOnce runs one policy-driven advancement.
+func (s *Store) foldOnce(p AdvancePolicy) {
+	if p.CutFor != nil {
+		_ = s.AdvanceBuckets(p.CutFor)
+		return
+	}
+	cut := p.Cut()
+	if len(cut) == 0 {
+		return
+	}
+	_ = s.Advance(cut, p.KeepDots)
 }
 
 // Advance folds every journal entry visible at cut into each object's base

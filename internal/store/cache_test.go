@@ -289,6 +289,51 @@ func TestAutoAdvanceBoundsJournal(t *testing.T) {
 	}
 }
 
+// TestAutoAdvanceRefoldsAfterBurst: writes that arrive while a fold runs
+// must be folded once it finishes, without waiting for a later write. The
+// first fold takes its cut before the burst and blocks until the burst is
+// applied and stable; nothing is written after it.
+func TestAutoAdvanceRefoldsAfterBurst(t *testing.T) {
+	s := New("dc0")
+	var stable atomic.Uint64
+	var calls atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.SetAutoAdvance(AdvancePolicy{
+		JournalThreshold: 2,
+		Cut: func() vclock.Vector {
+			cut := vclock.Vector{stable.Load()}
+			if calls.Add(1) == 1 {
+				close(entered)
+				<-release
+			}
+			return cut
+		},
+		KeepDots: true,
+	})
+	apply := func(from, to uint64) {
+		for i := from; i <= to; i++ {
+			if err := s.Apply(incTx("dc0", i, vclock.Vector{0}, 0, i, 1)); err != nil {
+				t.Fatal(err)
+			}
+			stable.Store(i)
+		}
+	}
+	apply(1, 3) // the third write crosses the threshold and starts a fold
+	<-entered
+	apply(4, 10) // the burst lands while that fold holds its old cut
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.MaxJournalLen() > 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.MaxJournalLen(); got > 2 {
+		t.Fatalf("MaxJournalLen = %d after the burst, want ≤ 2", got)
+	}
+	if got := readCounter(t, s, vclock.Vector{10}, ReadOptions{}); got != 10 {
+		t.Fatalf("total = %d, want 10", got)
+	}
+}
+
 // TestConcurrentReadersAndWriters hammers one store from writer, promoter
 // and reader goroutines across several objects — monotone per-reader cuts,
 // so every reader must see non-decreasing counter values. Run under -race

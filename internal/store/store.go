@@ -130,9 +130,11 @@ type Store struct {
 	readCacheOff bool
 
 	// policy drives automatic base advancement; advancing coalesces
-	// concurrent triggers into one background fold.
+	// concurrent triggers into one background fold, and refold records a
+	// trigger that arrived while it ran (see maybeAutoAdvance).
 	policy    AdvancePolicy
 	advancing atomic.Bool
+	refold    atomic.Bool
 
 	// Instrumentation handles, resolved once by SetObs. All are nil-safe
 	// no-ops when no registry is attached, so the hot read path pays one

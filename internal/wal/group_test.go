@@ -18,8 +18,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.New()
 	l, err := OpenWithOptions(dir, "gc.wal", Options{
-		GroupCommit: true,
-		SyncEvery:   64,
+		SyncEvery: 64,
 		// A linger interval makes batch formation deterministic enough to
 		// assert on: every committer that arrives within the window joins the
 		// open batch.
@@ -70,7 +69,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 // flush).
 func TestGroupCommitAppendWaitDurableWithoutClose(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "durable.wal", Options{GroupCommit: true})
+	l, err := Open(dir, "durable.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestGroupCommitAppendWaitDurableWithoutClose(t *testing.T) {
 // fsynced prefix, in order.
 func TestGroupCommitCrashMidBatchKeepsPrefix(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "crash.wal", Options{GroupCommit: true})
+	l, err := Open(dir, "crash.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestGroupCommitCrashMidBatchKeepsPrefix(t *testing.T) {
 // before Close must all reach the file.
 func TestGroupCommitCloseDrainsAcceptedAppends(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenWithOptions(dir, "drain.wal", Options{GroupCommit: true, SyncEvery: 8})
+	l, err := OpenWithOptions(dir, "drain.wal", Options{SyncEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,6 @@ func TestGroupCommitSurfacesWriteErrors(t *testing.T) {
 		observed []error
 	)
 	l, err := OpenWithOptions(t.TempDir(), "err.wal", Options{
-		GroupCommit: true,
 		OnError: func(e error) {
 			mu.Lock()
 			observed = append(observed, e)

@@ -103,14 +103,10 @@ func decode(r record) (*txn.Transaction, error) {
 	return t, nil
 }
 
-// Options tunes the log's durability pipeline.
+// Options tunes the log's group-commit pipeline: a single writer goroutine
+// batches appends from concurrent committers and fsyncs once per batch, so N
+// concurrent durable appends cost one fsync instead of N.
 type Options struct {
-	// GroupCommit enables the group-commit pipeline: a single writer
-	// goroutine batches appends from concurrent committers and fsyncs once
-	// per batch, so N concurrent durable appends cost one fsync instead of
-	// N. Without it the log behaves as before: buffered appends, fsync only
-	// on explicit Sync or Close.
-	GroupCommit bool
 	// SyncEvery caps the number of appends coalesced into one fsync batch
 	// (default 64).
 	SyncEvery int
@@ -123,7 +119,7 @@ type Options struct {
 	// the writer goroutine.
 	OnError func(error)
 	// Obs, when non-nil, records wal.fsyncs, wal.appends, wal.batch_txs and
-	// wal.flush_ns for the group-commit pipeline.
+	// wal.flush_ns.
 	Obs *obs.Registry
 }
 
@@ -159,13 +155,13 @@ type Log struct {
 }
 
 // Open creates (or opens for append) the log at dir/name with default
-// options (no group commit).
+// options.
 func Open(dir, name string) (*Log, error) {
 	return OpenWithOptions(dir, name, Options{})
 }
 
-// OpenWithOptions creates (or opens for append) the log at dir/name and, if
-// requested, starts its group-commit writer.
+// OpenWithOptions creates (or opens for append) the log at dir/name and
+// starts its group-commit writer.
 func OpenWithOptions(dir, name string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir: %w", err)
@@ -183,13 +179,11 @@ func OpenWithOptions(dir, name string, opts Options) (*Log, error) {
 	l.obsAppends = opts.Obs.Counter("wal.appends")
 	l.obsBatch = opts.Obs.Histogram("wal.batch_txs")
 	l.obsFlushNs = opts.Obs.Histogram("wal.flush_ns")
-	if opts.GroupCommit {
-		l.reqCh = make(chan appendReq, 4*opts.SyncEvery)
-		l.flushCh = make(chan chan error)
-		l.stopCh = make(chan struct{})
-		l.doneCh = make(chan struct{})
-		go l.writerLoop()
-	}
+	l.reqCh = make(chan appendReq, 4*opts.SyncEvery)
+	l.flushCh = make(chan chan error)
+	l.stopCh = make(chan struct{})
+	l.doneCh = make(chan struct{})
+	go l.writerLoop()
 	return l, nil
 }
 
@@ -206,81 +200,55 @@ func marshal(t *txn.Transaction) ([]byte, error) {
 	return data, nil
 }
 
-// Append records one transaction without waiting for durability. With group
-// commit the append is queued for the writer (errors surface via OnError and
-// Err); without it the write lands in the buffer (call Sync for fsync
-// semantics, or rely on Close).
+// Append records one transaction without waiting for durability: the
+// append is queued for the writer, and errors surface via OnError and Err.
 func (l *Log) Append(t *txn.Transaction) error {
 	data, err := marshal(t)
 	if err != nil {
 		return err
 	}
 	l.obsAppends.Inc()
-	if l.reqCh != nil {
-		select {
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		default:
-		}
-		select {
-		case l.reqCh <- appendReq{data: data}:
-			return nil
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		}
+	select {
+	case <-l.stopCh:
+		return errors.New("wal: closed")
+	default:
 	}
-	return l.writeDirect(data)
+	select {
+	case l.reqCh <- appendReq{data: data}:
+		return nil
+	case <-l.stopCh:
+		return errors.New("wal: closed")
+	}
 }
 
 // AppendWait records one transaction and returns only once its batch is
-// durable (flushed and fsynced). With group commit the wait piggybacks on
-// the writer's next batch fsync; without it the append is followed by an
-// immediate Sync.
+// durable (flushed and fsynced): the wait piggybacks on the writer's next
+// batch fsync.
 func (l *Log) AppendWait(t *txn.Transaction) error {
 	data, err := marshal(t)
 	if err != nil {
 		return err
 	}
 	l.obsAppends.Inc()
-	if l.reqCh != nil {
-		select {
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		default:
-		}
-		done := make(chan error, 1)
-		select {
-		case l.reqCh <- appendReq{data: data, done: done}:
-		case <-l.stopCh:
-			return errors.New("wal: closed")
-		}
-		select {
-		case err := <-done:
-			return err
-		case <-l.doneCh:
-			// Writer shut down mid-wait; the stop path flushed everything it
-			// had accepted, so report the sticky state.
-			return l.Err()
-		}
+	select {
+	case <-l.stopCh:
+		return errors.New("wal: closed")
+	default:
 	}
-	if err := l.writeDirect(data); err != nil {
-		return err
-	}
-	return l.Sync()
-}
-
-// writeDirect appends one line under the log lock (non-group-commit mode).
-func (l *Log) writeDirect(data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.w == nil {
+	done := make(chan error, 1)
+	select {
+	case l.reqCh <- appendReq{data: data, done: done}:
+	case <-l.stopCh:
 		return errors.New("wal: closed")
 	}
-	if err := l.writeLineLocked(data); err != nil {
-		l.noteErrLocked(err)
+	select {
+	case err := <-done:
 		return err
+	case <-l.doneCh:
+		// Writer shut down mid-wait; the stop path flushed everything it
+		// had accepted, so report the sticky state.
+		return l.Err()
 	}
-	return nil
 }
 
 // writeLineLocked writes one record line into the buffer. Caller holds l.mu.
@@ -413,8 +381,7 @@ func (l *Log) commitBatch(batch []appendReq) {
 	}
 }
 
-// flushSync flushes buffers and fsyncs the file (writer goroutine or
-// non-group-commit callers).
+// flushSync flushes buffers and fsyncs the file (writer goroutine only).
 func (l *Log) flushSync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -432,29 +399,24 @@ func (l *Log) flushSync() error {
 	return nil
 }
 
-// Sync makes everything appended so far durable. With group commit the
-// request is serialised through the writer so it cannot race a batch write.
+// Sync makes everything appended so far durable. The request is serialised
+// through the writer so it cannot race a batch write.
 func (l *Log) Sync() error {
-	if l.reqCh != nil {
-		ch := make(chan error, 1)
-		select {
-		case l.flushCh <- ch:
-			return <-ch
-		case <-l.doneCh:
-			// Writer already stopped (Close ran); its stop path flushed.
-			return l.Err()
-		}
+	ch := make(chan error, 1)
+	select {
+	case l.flushCh <- ch:
+		return <-ch
+	case <-l.doneCh:
+		// Writer already stopped (Close ran); its stop path flushed.
+		return l.Err()
 	}
-	return l.flushSync()
 }
 
 // Close stops the group-commit writer (flushing and fsyncing everything it
 // accepted), then flushes and closes the file.
 func (l *Log) Close() error {
-	if l.stopCh != nil {
-		l.stopOnce.Do(func() { close(l.stopCh) })
-		<-l.doneCh
-	}
+	l.stopOnce.Do(func() { close(l.stopCh) })
+	<-l.doneCh
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.w == nil {

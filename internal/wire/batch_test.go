@@ -9,9 +9,11 @@ import (
 	"colony/internal/vclock"
 )
 
-// TestReplBatchCloneSafety mirrors TestReplTxCloneSafety for the coalesced
-// form: the sender keeps mutating its retained transactions and its live
-// state vector after the send; nothing inside the batch may move.
+// TestReplBatchCloneSafety asserts the package's sender contract: a
+// transaction placed in a message is immutable, so a sender that clones
+// before sending may keep mutating its own copies (snapshot resolution,
+// commit promotion, update appends) and its live state vector without the
+// in-flight batch changing.
 func TestReplBatchCloneSafety(t *testing.T) {
 	state := vclock.Vector{4, 4, 4}
 	var retained []*txn.Transaction
@@ -29,6 +31,11 @@ func TestReplBatchCloneSafety(t *testing.T) {
 	state = state.Set(0, 9) // the sender's vector keeps advancing
 	for _, tx := range retained {
 		tx.Snapshot = tx.Snapshot.Join(vclock.Vector{9, 9, 9})
+		stamps, err := tx.Commit.Add(2, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit = stamps
 		tx.AppendUpdate(txn.ObjectID{Bucket: "b", Key: "late"}, crdt.KindCounter,
 			crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
 	}

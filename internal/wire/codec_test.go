@@ -67,7 +67,6 @@ func mustApply(o crdt.Object, m crdt.Meta, op crdt.Op) {
 func goldenMessages() map[string]Message {
 	sentAt := time.Unix(0, 1700000000000000000)
 	return map[string]Message{
-		"repl_tx": ReplTx{From: 1, Tx: sampleTx(), State: vclock.Vector{9, 8, 7}, SentAt: sentAt},
 		"repl_batch": ReplBatch{From: 2, Txs: []*txn.Transaction{sampleTx(), sampleTx()},
 			State: vclock.Vector{1, 2}, SentAt: sentAt, WantSeq: 6},
 		"repl_heartbeat":  ReplHeartbeat{From: 0, State: vclock.Vector{10, 20, 30}},
@@ -261,7 +260,7 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 	// Zero values of every type must round-trip too (heartbeats with nil
 	// vectors, empty batches, acks with nil stamps...).
 	for _, zero := range []Message{
-		ReplTx{}, ReplBatch{}, ReplHeartbeat{}, EdgeCommit{}, EdgeCommitAck{},
+		ReplBatch{}, ReplHeartbeat{}, EdgeCommit{}, EdgeCommitAck{},
 		EdgeCommitNack{}, Subscribe{}, SubscribeAck{}, Unsubscribe{},
 		ObjectState{}, FetchObject{}, PushTxs{}, MigratedTx{}, MigratedTxAck{},
 		TreeAssign{}, TreePush{}, TreeAck{},
@@ -367,8 +366,12 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeMessage(nil); err == nil {
 		t.Error("empty input decoded without error")
 	}
-	if _, err := DecodeMessage([]byte{0xee}); !errors.Is(err, ErrUnknownTag) {
-		t.Errorf("unknown tag: err = %v, want ErrUnknownTag", err)
+	// 0x01 is the retired single-transaction ReplTx tag: reserved, so it
+	// must be rejected like any tag this build does not know.
+	for _, frame := range [][]byte{{0xee}, {0x01, 0x02, 0x00}} {
+		if _, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) {
+			t.Errorf("unknown tag %#x: err = %v, want ErrUnknownTag", frame[0], err)
+		}
 	}
 }
 

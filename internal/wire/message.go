@@ -9,8 +9,9 @@ type Tag uint8
 
 // The wire protocol's message tags.
 const (
-	TagNone           Tag = 0
-	TagReplTx         Tag = 1
+	TagNone Tag = 0
+	// Tag 1 carried the retired single-transaction ReplTx; it stays
+	// reserved and decodes as an unknown tag.
 	TagReplBatch      Tag = 2
 	TagReplHeartbeat  Tag = 3
 	TagEdgeCommit     Tag = 4
@@ -72,7 +73,7 @@ type Message interface {
 
 // Compile-time check: every wire message satisfies Message.
 var _ = []Message{
-	ReplTx{}, ReplBatch{}, ReplHeartbeat{},
+	ReplBatch{}, ReplHeartbeat{},
 	EdgeCommit{}, EdgeCommitAck{}, EdgeCommitNack{},
 	Subscribe{}, SubscribeAck{}, Unsubscribe{},
 	ObjectState{}, FetchObject{}, PushTxs{},
@@ -85,12 +86,6 @@ var _ = []Message{
 	BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
 	DropQuery{}, DropVote{},
 }
-
-// Tag implements Message.
-func (ReplTx) Tag() Tag { return TagReplTx }
-
-// Units implements Message.
-func (ReplTx) Units() int { return 1 }
 
 // Tag implements Message.
 func (ReplBatch) Tag() Tag { return TagReplBatch }

@@ -24,39 +24,6 @@ func makeTx() *txn.Transaction {
 	return t
 }
 
-// TestReplTxCloneSafety asserts the package's sender contract: a
-// transaction placed in a message is immutable, so a sender that clones
-// before sending may keep mutating its own copy (snapshot resolution,
-// commit promotion, update appends) without the in-flight message changing.
-func TestReplTxCloneSafety(t *testing.T) {
-	local := makeTx()
-	msg := ReplTx{From: 1, Tx: local.Clone(), State: vclock.Vector{4, 4, 4}}
-	want := local.Clone() // expected wire image
-
-	// The sender's copy keeps evolving after the send.
-	local.Snapshot = local.Snapshot.Join(vclock.Vector{9, 9, 9})
-	stamps, err := local.Commit.Add(2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local.Commit = stamps
-	local.AppendUpdate(txn.ObjectID{Bucket: "b", Key: "late"}, crdt.KindCounter,
-		crdt.Op{Counter: &crdt.CounterOp{Delta: 1}})
-
-	if !msg.Tx.Snapshot.Equal(want.Snapshot) {
-		t.Errorf("message snapshot mutated: %v, want %v", msg.Tx.Snapshot, want.Snapshot)
-	}
-	if len(msg.Tx.Commit) != len(want.Commit) {
-		t.Errorf("message commit mutated: %v, want %v", msg.Tx.Commit, want.Commit)
-	}
-	if len(msg.Tx.Updates) != len(want.Updates) {
-		t.Errorf("message updates mutated: %d entries, want %d", len(msg.Tx.Updates), len(want.Updates))
-	}
-	if !reflect.DeepEqual(msg.Tx, want) {
-		t.Errorf("message transaction diverged from wire image:\n got %+v\nwant %+v", msg.Tx, want)
-	}
-}
-
 // TestCloneRoundTripPreservesTags checks that a clone is a faithful wire
 // round-trip: dots, per-update sequence tags and op payloads all survive, so
 // the receiver derives the exact same CRDT tags as the sender.
