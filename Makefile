@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet vet-e2ebench check ci bench-store bench-vclock bench-fig4 bench-obs bench-crdt bench-fanout bench-net bench-tree bench-partial
+.PHONY: all build test test-race vet vet-e2ebench fmt check ci bench-store bench-vclock bench-fig4 bench-obs bench-crdt bench-fanout bench-net bench-tree bench-partial
 
 all: check
 
@@ -33,11 +33,15 @@ vet:
 vet-e2ebench:
 	$(GO) -C e2ebench vet ./...
 
-check: build vet vet-e2ebench test test-race
+# Every Go file, the nested e2ebench module included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
+check: fmt build vet vet-e2ebench test test-race
 
 # The continuous-integration gate: static checks, racy packages under the
 # race detector, then everything else.
-ci: vet vet-e2ebench test-race build test
+ci: fmt vet vet-e2ebench test-race build test
 
 # Read-path microbenchmarks: materialisation cache on/off over journal
 # depths, parallel readers over shards, incremental advancing-cut reads.

@@ -34,6 +34,18 @@ var (
 	ErrClosed       = errors.New("dc: closed")
 )
 
+const (
+	// vnodes is the consistent-hashing virtual node count per shard.
+	vnodes = 64
+	// replOutboxDepth bounds each per-peer replication outbox; a full outbox
+	// back-pressures committers rather than dropping, so replication never
+	// silently relies on anti-entropy alone.
+	replOutboxDepth = 4096
+	// pushShardWorkers bounds the worker pool that drains dirty interest
+	// shards.
+	pushShardWorkers = 4
+)
+
 // Config configures one DC.
 type Config struct {
 	// Index is the DC's position in vector timestamps.
@@ -44,22 +56,17 @@ type Config struct {
 	NumDCs int
 	// Shards is the number of storage servers (default 4).
 	Shards int
-	// VNodes is the consistent-hashing virtual node count (default 64).
-	VNodes int
 	// K is the K-stability visibility threshold for edge nodes (default 1;
 	// the paper's experiments use 2 with 3 DCs).
 	K int
 	// Heartbeat is the state-vector gossip period; 0 disables heartbeats
 	// (tests drive gossip through traffic instead).
 	Heartbeat time.Duration
-	// CompactEvery triggers automatic base-version advancement (journal
-	// truncation, paper §4.1) on the heartbeat worker; 0 disables.
-	CompactEvery time.Duration
-	// AutoAdvanceThreshold additionally lets each storage shard advance its
-	// own base versions in the background whenever an object's journal
-	// outgrows this many entries, folding up to the DC's K-stable cut. It
-	// bounds journal growth under sustained write load between CompactEvery
-	// ticks (and without them). 0 disables.
+	// AutoAdvanceThreshold lets each storage shard advance its own base
+	// versions (journal truncation, paper §4.1) in the background whenever
+	// an object's journal outgrows this many entries, folding up to the
+	// DC's K-stable cut. It bounds journal growth under sustained write
+	// load. 0 disables.
 	AutoAdvanceThreshold int
 	// DataDir enables persistence (paper §6.3): committed transactions are
 	// appended to a write-ahead log under this directory and replayed on
@@ -70,21 +77,9 @@ type Config struct {
 	// group-commit writer, so N concurrent committers share one fsync. Only
 	// meaningful with DataDir set.
 	SyncWrites bool
-	// WALSyncEvery caps how many appends the group-commit writer coalesces
-	// into one fsync batch (default 64); WALSyncInterval optionally lets the
-	// writer linger to fill a batch (default 0: fsync whatever is pending).
-	WALSyncEvery    int
-	WALSyncInterval time.Duration
-	// ReplOutbox bounds each per-peer replication outbox (default 4096);
-	// a full outbox back-pressures committers rather than dropping, so
-	// replication never silently relies on anti-entropy alone.
-	ReplOutbox int
 	// ReplBatchMax caps how many transactions a per-peer sender coalesces
 	// into one wire.ReplBatch (default 128).
 	ReplBatchMax int
-	// PushShardWorkers bounds the worker pool that drains dirty interest
-	// shards (default 4).
-	PushShardWorkers int
 	// TreeDegree bounds a multicast subtree: one relay root plus at most
 	// TreeDegree children (default 16). Only relay-capable subscribers
 	// (Subscribe.Relay) join trees and re-fan-out frames to their subtree
@@ -275,9 +270,6 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.K <= 0 {
 		cfg.K = 1
 	}
@@ -288,18 +280,12 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 	for i := range shards {
 		shards[i] = clocksi.NewShard(fmt.Sprintf("%s/shard%d", cfg.Name, i), uint64(i))
 	}
-	coord, err := clocksi.NewCoordinator(shards, cfg.VNodes)
+	coord, err := clocksi.NewCoordinator(shards, vnodes)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ReplOutbox <= 0 {
-		cfg.ReplOutbox = 4096
-	}
 	if cfg.ReplBatchMax <= 0 {
 		cfg.ReplBatchMax = 128
-	}
-	if cfg.PushShardWorkers <= 0 {
-		cfg.PushShardWorkers = 4
 	}
 	if cfg.TreeDegree <= 0 {
 		cfg.TreeDegree = 16
@@ -387,10 +373,8 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 			return nil, fmt.Errorf("dc: recover %s: %w", cfg.Name, err)
 		}
 		logFile, err := wal.OpenWithOptions(cfg.DataDir, cfg.Name+".wal", wal.Options{
-			SyncEvery:    cfg.WALSyncEvery,
-			SyncInterval: cfg.WALSyncInterval,
-			OnError:      d.noteWALError,
-			Obs:          cfg.Obs,
+			OnError: d.noteWALError,
+			Obs:     cfg.Obs,
 		})
 		if err != nil {
 			return nil, err
@@ -398,7 +382,7 @@ func New(net transport.Network, cfg Config) (*DC, error) {
 		d.journal = logFile
 	}
 	d.fan = newFanout(d)
-	for i := 0; i < cfg.PushShardWorkers; i++ {
+	for i := 0; i < pushShardWorkers; i++ {
 		d.pipeWG.Add(1)
 		go d.runShardWorker()
 	}
@@ -428,7 +412,7 @@ func (d *DC) SetPeers(peers map[int]string) {
 		if d.outboxes[idx] != nil || d.closed {
 			continue
 		}
-		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, d.cfg.ReplOutbox)}
+		o := &replOutbox{peerIdx: idx, peer: name, ch: make(chan *txn.Transaction, replOutboxDepth)}
 		d.outboxes[idx] = o
 		d.pipeWG.Add(1)
 		go d.runReplSender(o)
@@ -614,15 +598,10 @@ func (d *DC) heartbeatLoop() {
 	defer close(d.heartbeatDone)
 	ticker := time.NewTicker(d.cfg.Heartbeat)
 	defer ticker.Stop()
-	lastCompact := time.Now()
 	ticks := 0
 	for {
 		select {
 		case <-ticker.C:
-			if d.cfg.CompactEvery > 0 && time.Since(lastCompact) >= d.cfg.CompactEvery {
-				lastCompact = time.Now()
-				_ = d.Compact() // best effort; journals shrink next round
-			}
 			if d.partial {
 				ticks++
 				if ticks%32 == 1 {

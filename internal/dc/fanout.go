@@ -309,7 +309,7 @@ func (f *fanout) reset() uint64 {
 	return gen
 }
 
-// runShardWorker is one of the PushShardWorkers pool goroutines: it sleeps
+// runShardWorker is one of the pushShardWorkers pool goroutines: it sleeps
 // on the condvar until a shard is dirty, claims it, and flushes it outside
 // every lock. One flush serves every subscriber of the shard.
 func (d *DC) runShardWorker() {

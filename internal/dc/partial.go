@@ -83,8 +83,8 @@ type bucketState struct {
 // pin must not veto local drops forever.
 const dropPinTTL = 30 * time.Second
 
-// ensurePartialLocked initialises the partial-replication state; called from
-// New (cfg validation already done).
+// initPartial initialises the partial-replication state; called from New
+// (cfg validation already done).
 func (d *DC) initPartial() {
 	d.partial = true
 	d.buckets = make(map[string]*bucketState)

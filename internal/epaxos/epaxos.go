@@ -18,22 +18,34 @@
 package epaxos
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
-
-	"colony/internal/wire"
 )
 
 // InstanceID names a command slot: each replica leads its own instance
-// sub-space, so instance allocation needs no coordination. The type (like the
-// protocol messages below) lives in the wire package so it has a stable
-// binary encoding; the alias keeps this package's API unchanged.
-type InstanceID = wire.EPaxosInstanceID
+// sub-space, so instance allocation needs no coordination.
+type InstanceID struct {
+	Replica string
+	Slot    uint64
+}
 
-// Command is one unit of agreement: interference keys plus an opaque payload
-// (a *txn.Transaction in Colony).
-type Command = wire.EPaxosCommand
+// String renders like "peer1[4]".
+func (id InstanceID) String() string { return fmt.Sprintf("%s[%d]", id.Replica, id.Slot) }
+
+// Command is one unit of agreement.
+type Command struct {
+	// ID identifies the command globally (the transaction dot rendered as a
+	// string, in Colony's use).
+	ID string
+	// Keys are the interference keys: commands sharing a key conflict and
+	// are totally ordered relative to each other.
+	Keys []string
+	// Payload is the command body, opaque to the protocol (a
+	// *txn.Transaction in Colony).
+	Payload any
+}
 
 // status is the lifecycle of an instance.
 type status int
@@ -65,24 +77,49 @@ type instance struct {
 	commitAcked  map[string]bool
 }
 
-// Messages exchanged between replicas. The group layer routes them. The
-// concrete types live in the wire package (tags 26-31) so consensus traffic
-// is encodable across processes; the aliases keep handler type switches and
-// constructors here unchanged.
+// Messages exchanged between replicas. The group layer routes them over its
+// in-process network; they have no binary wire encoding.
 type (
 	// PreAccept is phase one, sent by the command leader.
-	PreAccept = wire.EPaxosPreAccept
+	PreAccept struct {
+		Inst InstanceID
+		Cmd  Command
+		Deps []InstanceID
+		Seq  uint64
+	}
 	// PreAcceptOK is the reply, carrying the replica's (possibly extended)
 	// dependencies.
-	PreAcceptOK = wire.EPaxosPreAcceptOK
+	PreAcceptOK struct {
+		Inst    InstanceID
+		From    string
+		Deps    []InstanceID
+		Seq     uint64
+		Changed bool
+	}
 	// Accept is the slow-path phase run when pre-accept replies disagree.
-	Accept = wire.EPaxosAccept
+	Accept struct {
+		Inst InstanceID
+		Cmd  Command
+		Deps []InstanceID
+		Seq  uint64
+	}
 	// AcceptOK acknowledges an Accept.
-	AcceptOK = wire.EPaxosAcceptOK
+	AcceptOK struct {
+		Inst InstanceID
+		From string
+	}
 	// Commit finalises the instance at every replica.
-	Commit = wire.EPaxosCommit
+	Commit struct {
+		Inst InstanceID
+		Cmd  Command
+		Deps []InstanceID
+		Seq  uint64
+	}
 	// CommitAck lets the leader stop re-broadcasting a commit to a peer.
-	CommitAck = wire.EPaxosCommitAck
+	CommitAck struct {
+		Inst InstanceID
+		From string
+	}
 )
 
 // Transport sends a protocol message to a peer replica; implementations are

@@ -25,7 +25,6 @@ import (
 
 	"colony/internal/txn"
 	"colony/internal/vclock"
-	"colony/internal/wire"
 )
 
 // Errors returned by the group layer.
@@ -48,37 +47,72 @@ const (
 	VariantPSI
 )
 
-// --- group wire messages ---
+// --- group messages ---
 //
-// The message types live in the wire package (wire.GroupJoinReq and friends,
-// tags 18-25) so they have stable tags and binary codecs — peer-group traffic
-// can span real TCP processes. The aliases keep this package's API and every
-// in-process type switch unchanged.
+// Peer-group traffic runs in-process only: every parent and member shares
+// one simulated network, so these types have no binary wire encoding (over
+// TCP, Send refuses them with transport.ErrNotEncodable).
 
 type (
 	// JoinReq asks the parent to admit a node into the group.
-	JoinReq = wire.GroupJoinReq
+	JoinReq struct {
+		Node  string
+		Actor string
+	}
 	// JoinAck returns the current membership (parent included) and the
 	// group's session key for content encryption.
-	JoinAck = wire.GroupJoinAck
+	JoinAck struct {
+		Members    []string
+		Parent     string
+		SessionKey []byte
+	}
 	// LeaveReq removes a node from the group.
-	LeaveReq = wire.GroupLeaveReq
+	LeaveReq struct {
+		Node string
+	}
 	// MemberEvent broadcasts the new full membership after a change.
-	MemberEvent = wire.GroupMemberEvent
+	MemberEvent struct {
+		Members []string
+	}
 	// PromoteMsg distributes a concrete commit descriptor assigned by the DC
 	// for a group transaction.
-	PromoteMsg = wire.GroupPromote
+	PromoteMsg struct {
+		Dot     vclock.Dot
+		DCIndex int
+		Ts      uint64
+		Stable  vclock.Vector
+	}
 	// SyncReq asks the parent for the visibility log from index From, to
 	// recover transactions missed while disconnected.
-	SyncReq = wire.GroupSyncReq
+	SyncReq struct {
+		Node string
+		From int
+	}
 	// SyncAck returns the requested visibility log suffix (with current
 	// commit stamps) and the parent's stable vector.
-	SyncAck = wire.GroupSyncAck
+	SyncAck struct {
+		From    int
+		Entries []*txn.Transaction
+		Stable  vclock.Vector
+	}
 	// VisEntry pushes one newly group-visible transaction to a member as it
 	// executes (§5.1.2: updates are pushed in a best-effort manner); SyncReq
 	// remains as the recovery path for members that missed pushes.
-	VisEntry = wire.GroupVisEntry
+	VisEntry struct {
+		Index int
+		Tx    *txn.Transaction
+	}
 )
+
+// Units reports the logical message count the network substrate accounts
+// (net.sent_units): one per carried entry, and one for an ack that only
+// advances the stable vector.
+func (a SyncAck) Units() int {
+	if len(a.Entries) == 0 {
+		return 1
+	}
+	return len(a.Entries)
+}
 
 // interferenceKeys renders a transaction's updated objects as EPaxos keys.
 func interferenceKeys(t *txn.Transaction) []string {

@@ -8,8 +8,10 @@ import (
 	"colony/internal/crdt"
 	"colony/internal/dc"
 	"colony/internal/edge"
+	"colony/internal/obs"
 	"colony/internal/simnet"
 	"colony/internal/txn"
+	"colony/internal/vclock"
 )
 
 var xID = txn.ObjectID{Bucket: "b", Key: "x"}
@@ -418,5 +420,31 @@ func TestParentAsColocatedMember(t *testing.T) {
 		n := n
 		waitFor(t, 3*time.Second, func() bool { return counterAt(t, n) == 9 },
 			fmt.Sprintf("member %d never saw the parent's tx", i))
+	}
+}
+
+// TestSyncAckCountsEntriesAsUnits pins the unit accounting that group
+// traffic contributes to net.sent_units (and so to the end-to-end
+// net_units_per_op): simnet counts a SyncAck as one unit per carried entry,
+// and an ack that only advances the stable vector as one.
+func TestSyncAckCountsEntriesAsUnits(t *testing.T) {
+	reg := obs.New()
+	net := simnet.New(simnet.Config{Obs: reg})
+	t.Cleanup(net.Close)
+	a := net.AddNode("a", func(string, any) any { return nil })
+	net.AddNode("b", func(string, any) any { return nil })
+	sentUnits := reg.Counter("net.sent_units")
+	for _, tc := range []struct{ entries, want int }{{3, 3}, {0, 1}} {
+		ack := SyncAck{Stable: vclock.Vector{1}}
+		for i := 0; i < tc.entries; i++ {
+			ack.Entries = append(ack.Entries, &txn.Transaction{Dot: vclock.Dot{Node: "peer0", Seq: uint64(i + 1)}})
+		}
+		before := sentUnits.Value()
+		if err := a.Send("b", ack); err != nil {
+			t.Fatal(err)
+		}
+		if got := sentUnits.Value() - before; got != int64(tc.want) {
+			t.Errorf("SyncAck with %d entries: net.sent_units rose by %d, want %d", tc.entries, got, tc.want)
+		}
 	}
 }

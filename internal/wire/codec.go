@@ -148,74 +148,6 @@ func EncodeMessage(buf []byte, m Message) ([]byte, error) {
 		buf = bin.AppendUvarint(buf, v.Seq)
 		buf = appendStrings(buf, v.Failed)
 		return bin.AppendBool(buf, v.Dropped), nil
-	case GroupJoinReq:
-		buf = bin.AppendString(buf, v.Node)
-		return bin.AppendString(buf, v.Actor), nil
-	case GroupJoinAck:
-		buf = appendStrings(buf, v.Members)
-		buf = bin.AppendString(buf, v.Parent)
-		return bin.AppendBytes(buf, v.SessionKey), nil
-	case GroupLeaveReq:
-		return bin.AppendString(buf, v.Node), nil
-	case GroupMemberEvent:
-		return appendStrings(buf, v.Members), nil
-	case GroupPromote:
-		buf = appendDot(buf, v.Dot)
-		buf = bin.AppendVarint(buf, int64(v.DCIndex))
-		buf = bin.AppendUvarint(buf, v.Ts)
-		return appendVector(buf, v.Stable), nil
-	case GroupSyncReq:
-		buf = bin.AppendString(buf, v.Node)
-		return bin.AppendVarint(buf, int64(v.From)), nil
-	case GroupSyncAck:
-		buf = bin.AppendVarint(buf, int64(v.From))
-		buf = bin.AppendUvarint(buf, uint64(len(v.Entries)))
-		var err error
-		for _, t := range v.Entries {
-			if buf, err = appendTx(buf, t); err != nil {
-				return nil, err
-			}
-		}
-		return appendVector(buf, v.Stable), nil
-	case GroupVisEntry:
-		buf = bin.AppendVarint(buf, int64(v.Index))
-		return appendTx(buf, v.Tx)
-	case EPaxosPreAccept:
-		buf = appendInstanceID(buf, v.Inst)
-		var err error
-		if buf, err = appendCommand(buf, v.Cmd); err != nil {
-			return nil, err
-		}
-		buf = appendInstanceIDs(buf, v.Deps)
-		return bin.AppendUvarint(buf, v.Seq), nil
-	case EPaxosPreAcceptOK:
-		buf = appendInstanceID(buf, v.Inst)
-		buf = bin.AppendString(buf, v.From)
-		buf = appendInstanceIDs(buf, v.Deps)
-		buf = bin.AppendUvarint(buf, v.Seq)
-		return bin.AppendBool(buf, v.Changed), nil
-	case EPaxosAccept:
-		buf = appendInstanceID(buf, v.Inst)
-		var err error
-		if buf, err = appendCommand(buf, v.Cmd); err != nil {
-			return nil, err
-		}
-		buf = appendInstanceIDs(buf, v.Deps)
-		return bin.AppendUvarint(buf, v.Seq), nil
-	case EPaxosAcceptOK:
-		buf = appendInstanceID(buf, v.Inst)
-		return bin.AppendString(buf, v.From), nil
-	case EPaxosCommit:
-		buf = appendInstanceID(buf, v.Inst)
-		var err error
-		if buf, err = appendCommand(buf, v.Cmd); err != nil {
-			return nil, err
-		}
-		buf = appendInstanceIDs(buf, v.Deps)
-		return bin.AppendUvarint(buf, v.Seq), nil
-	case EPaxosCommitAck:
-		buf = appendInstanceID(buf, v.Inst)
-		return bin.AppendString(buf, v.From), nil
 	case MigratedTx:
 		if v.Fn != nil && v.Name == "" {
 			return nil, fmt.Errorf("%w: %T carries a bare closure (in-process mobile code)", ErrNotEncodable, m)
@@ -376,69 +308,6 @@ func DecodeMessage(data []byte) (Message, error) {
 		v.Failed = readStrings(r)
 		v.Dropped = r.Bool()
 		m = v
-	case TagGroupJoinReq:
-		m = GroupJoinReq{Node: r.String(), Actor: r.String()}
-	case TagGroupJoinAck:
-		v := GroupJoinAck{Members: readStrings(r)}
-		v.Parent = r.String()
-		if b := r.Bytes(); len(b) > 0 {
-			v.SessionKey = append([]byte(nil), b...)
-		}
-		m = v
-	case TagGroupLeaveReq:
-		m = GroupLeaveReq{Node: r.String()}
-	case TagGroupMemberEvent:
-		m = GroupMemberEvent{Members: readStrings(r)}
-	case TagGroupPromote:
-		v := GroupPromote{Dot: readDot(r)}
-		v.DCIndex = int(r.Varint())
-		v.Ts = r.Uvarint()
-		v.Stable = readVector(r)
-		m = v
-	case TagGroupSyncReq:
-		m = GroupSyncReq{Node: r.String(), From: int(r.Varint())}
-	case TagGroupSyncAck:
-		v := GroupSyncAck{From: int(r.Varint())}
-		n := r.Count(1)
-		if n > 0 {
-			v.Entries = make([]*txn.Transaction, 0, n)
-			for i := 0; i < n; i++ {
-				v.Entries = append(v.Entries, readTx(r))
-			}
-		}
-		v.Stable = readVector(r)
-		m = v
-	case TagGroupVisEntry:
-		m = GroupVisEntry{Index: int(r.Varint()), Tx: readTx(r)}
-	case TagEPaxosPreAccept:
-		v := EPaxosPreAccept{Inst: readInstanceID(r)}
-		v.Cmd = readCommand(r)
-		v.Deps = readInstanceIDs(r)
-		v.Seq = r.Uvarint()
-		m = v
-	case TagEPaxosPreAcceptOK:
-		v := EPaxosPreAcceptOK{Inst: readInstanceID(r)}
-		v.From = r.String()
-		v.Deps = readInstanceIDs(r)
-		v.Seq = r.Uvarint()
-		v.Changed = r.Bool()
-		m = v
-	case TagEPaxosAccept:
-		v := EPaxosAccept{Inst: readInstanceID(r)}
-		v.Cmd = readCommand(r)
-		v.Deps = readInstanceIDs(r)
-		v.Seq = r.Uvarint()
-		m = v
-	case TagEPaxosAcceptOK:
-		m = EPaxosAcceptOK{Inst: readInstanceID(r), From: r.String()}
-	case TagEPaxosCommit:
-		v := EPaxosCommit{Inst: readInstanceID(r)}
-		v.Cmd = readCommand(r)
-		v.Deps = readInstanceIDs(r)
-		v.Seq = r.Uvarint()
-		m = v
-	case TagEPaxosCommitAck:
-		m = EPaxosCommitAck{Inst: readInstanceID(r), From: r.String()}
 	case TagMigratedTx:
 		v := MigratedTx{Origin: r.String()}
 		v.Actor = r.String()
@@ -623,60 +492,6 @@ func readStrings(r *bin.Reader) []string {
 		ss = append(ss, r.String())
 	}
 	return ss
-}
-
-// appendInstanceID encodes an EPaxos instance id.
-func appendInstanceID(buf []byte, id EPaxosInstanceID) []byte {
-	buf = bin.AppendString(buf, id.Replica)
-	return bin.AppendUvarint(buf, id.Slot)
-}
-
-func readInstanceID(r *bin.Reader) EPaxosInstanceID {
-	return EPaxosInstanceID{Replica: r.String(), Slot: r.Uvarint()}
-}
-
-func appendInstanceIDs(buf []byte, ids []EPaxosInstanceID) []byte {
-	buf = bin.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = appendInstanceID(buf, id)
-	}
-	return buf
-}
-
-func readInstanceIDs(r *bin.Reader) []EPaxosInstanceID {
-	n := r.Count(2)
-	if n == 0 {
-		return nil
-	}
-	ids := make([]EPaxosInstanceID, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, readInstanceID(r))
-	}
-	return ids
-}
-
-// appendCommand encodes an EPaxos command. Payload must be nil or a
-// *txn.Transaction — Colony's only payload type; anything else has no wire
-// form and makes the carrying message unencodable.
-func appendCommand(buf []byte, c EPaxosCommand) ([]byte, error) {
-	buf = bin.AppendString(buf, c.ID)
-	buf = appendStrings(buf, c.Keys)
-	switch p := c.Payload.(type) {
-	case nil:
-		return bin.AppendBool(buf, false), nil
-	case *txn.Transaction:
-		return appendTx(buf, p)
-	default:
-		return nil, fmt.Errorf("%w: epaxos command payload %T", ErrNotEncodable, c.Payload)
-	}
-}
-
-func readCommand(r *bin.Reader) EPaxosCommand {
-	c := EPaxosCommand{ID: r.String(), Keys: readStrings(r)}
-	if t := readTx(r); t != nil {
-		c.Payload = t
-	}
-	return c
 }
 
 // appendTx encodes one transaction: dot, origin, actor, snapshot, commit

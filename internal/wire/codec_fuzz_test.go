@@ -26,6 +26,10 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{byte(TagReplBatch), 0x00, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	// Tag 1 is the retired single-transaction ReplTx: rejected, never parsed.
 	f.Add([]byte{0x01, 0x02, 0x00})
+	// Tags 18-31 are the retired peer-group/EPaxos range: rejected too.
+	for tag := 18; tag <= 31; tag++ {
+		f.Add([]byte{byte(tag), 0x00})
+	}
 	// Partial-replication frames: hostile counts and truncated bodies.
 	f.Add([]byte{byte(TagBucketVec), 0x02, 0x01, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{byte(TagBackfillReq), 0x04, 'r', 'o', 'o', 'm'})

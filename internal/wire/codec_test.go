@@ -102,31 +102,6 @@ func goldenMessages() map[string]Message {
 			Txs: []*txn.Transaction{sampleTx()}, Stable: vclock.Vector{5, 5, 5}},
 		"tree_ack": TreeAck{Node: "edge-1", Shard: 7, Epoch: 3, Seq: 12,
 			Failed: []string{"edge-3"}, Dropped: true},
-		"group_join_req": GroupJoinReq{Node: "peer-2", Actor: "bob"},
-		"group_join_ack": GroupJoinAck{Members: []string{"parent-1", "peer-2"},
-			Parent: "parent-1", SessionKey: []byte{0xde, 0xad, 0xbe, 0xef}},
-		"group_leave_req":    GroupLeaveReq{Node: "peer-2"},
-		"group_member_event": GroupMemberEvent{Members: []string{"parent-1", "peer-2", "peer-3"}},
-		"group_promote": GroupPromote{Dot: vclock.Dot{Node: "peer-2", Seq: 8},
-			DCIndex: 1, Ts: 44, Stable: vclock.Vector{6, 2, 1}},
-		"group_sync_req": GroupSyncReq{Node: "peer-3", From: 5},
-		"group_sync_ack": GroupSyncAck{From: 5, Entries: []*txn.Transaction{sampleTx()},
-			Stable: vclock.Vector{4, 4, 4}},
-		"group_vis_entry": GroupVisEntry{Index: 9, Tx: sampleTx()},
-		"epaxos_pre_accept": EPaxosPreAccept{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4},
-			Cmd:  EPaxosCommand{ID: "edge-7:42", Keys: []string{"docs/readme"}, Payload: sampleTx()},
-			Deps: []EPaxosInstanceID{{Replica: "peer-2", Slot: 1}}, Seq: 2},
-		"epaxos_pre_accept_ok": EPaxosPreAcceptOK{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4},
-			From: "peer-2", Deps: []EPaxosInstanceID{{Replica: "peer-2", Slot: 1}, {Replica: "peer-3", Slot: 2}},
-			Seq: 3, Changed: true},
-		"epaxos_accept": EPaxosAccept{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4},
-			Cmd:  EPaxosCommand{ID: "edge-7:42", Keys: []string{"docs/readme", "meta/title"}},
-			Deps: []EPaxosInstanceID{{Replica: "peer-3", Slot: 2}}, Seq: 3},
-		"epaxos_accept_ok": EPaxosAcceptOK{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4}, From: "peer-3"},
-		"epaxos_commit": EPaxosCommit{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4},
-			Cmd:  EPaxosCommand{ID: "edge-7:42", Keys: []string{"docs/readme"}, Payload: sampleTx()},
-			Deps: []EPaxosInstanceID{{Replica: "peer-2", Slot: 1}}, Seq: 2},
-		"epaxos_commit_ack": EPaxosCommitAck{Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 4}, From: "peer-2"},
 	}
 }
 
@@ -264,10 +239,6 @@ func TestEncodeNilAndEmpty(t *testing.T) {
 		EdgeCommitNack{}, Subscribe{}, SubscribeAck{}, Unsubscribe{},
 		ObjectState{}, FetchObject{}, PushTxs{}, MigratedTx{}, MigratedTxAck{},
 		TreeAssign{}, TreePush{}, TreeAck{},
-		GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
-		GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
-		EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
-		EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
 		BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
 		DropQuery{}, DropVote{},
 	} {
@@ -325,18 +296,6 @@ func TestProgramRegistry(t *testing.T) {
 	}
 }
 
-// TestEPaxosPayloadNotEncodable pins the command payload contract: only nil
-// and *txn.Transaction payloads have a wire form.
-func TestEPaxosPayloadNotEncodable(t *testing.T) {
-	msg := EPaxosPreAccept{
-		Inst: EPaxosInstanceID{Replica: "peer-1", Slot: 1},
-		Cmd:  EPaxosCommand{ID: "x", Payload: 42},
-	}
-	if _, err := EncodeMessage(nil, msg); !errors.Is(err, ErrNotEncodable) {
-		t.Fatalf("err = %v, want ErrNotEncodable", err)
-	}
-}
-
 // TestDecodeTruncatedAndCorrupt feeds every strict prefix of every golden
 // frame, plus single-byte corruptions, to the decoder: none may panic, and
 // truncations must be rejected.
@@ -366,9 +325,10 @@ func TestDecodeTruncatedAndCorrupt(t *testing.T) {
 	if _, err := DecodeMessage(nil); err == nil {
 		t.Error("empty input decoded without error")
 	}
-	// 0x01 is the retired single-transaction ReplTx tag: reserved, so it
-	// must be rejected like any tag this build does not know.
-	for _, frame := range [][]byte{{0xee}, {0x01, 0x02, 0x00}} {
+	// 0x01 is the retired single-transaction ReplTx tag and 18-31 the
+	// retired peer-group/EPaxos range: reserved, so they must be rejected
+	// like any tag this build does not know.
+	for _, frame := range [][]byte{{0xee}, {0x01, 0x02, 0x00}, {18, 0x00}, {31, 0x00}} {
 		if _, err := DecodeMessage(frame); !errors.Is(err, ErrUnknownTag) {
 			t.Errorf("unknown tag %#x: err = %v, want ErrUnknownTag", frame[0], err)
 		}

@@ -31,23 +31,9 @@ const (
 	TagTreePush   Tag = 16
 	TagTreeAck    Tag = 17
 
-	// Peer-group membership and sync.
-	TagGroupJoinReq     Tag = 18
-	TagGroupJoinAck     Tag = 19
-	TagGroupLeaveReq    Tag = 20
-	TagGroupMemberEvent Tag = 21
-	TagGroupPromote     Tag = 22
-	TagGroupSyncReq     Tag = 23
-	TagGroupSyncAck     Tag = 24
-	TagGroupVisEntry    Tag = 25
-
-	// EPaxos consensus inside a peer group.
-	TagEPaxosPreAccept   Tag = 26
-	TagEPaxosPreAcceptOK Tag = 27
-	TagEPaxosAccept      Tag = 28
-	TagEPaxosAcceptOK    Tag = 29
-	TagEPaxosCommit      Tag = 30
-	TagEPaxosCommitAck   Tag = 31
+	// Tags 18-31 carried the peer-group membership/sync and consensus
+	// messages, which now travel in-process only; they stay reserved and
+	// decode as unknown tags.
 
 	// Partial replication (PR 10).
 	TagBucketVec    Tag = 32
@@ -79,10 +65,6 @@ var _ = []Message{
 	ObjectState{}, FetchObject{}, PushTxs{},
 	MigratedTx{}, MigratedTxAck{},
 	TreeAssign{}, TreePush{}, TreeAck{},
-	GroupJoinReq{}, GroupJoinAck{}, GroupLeaveReq{}, GroupMemberEvent{},
-	GroupPromote{}, GroupSyncReq{}, GroupSyncAck{}, GroupVisEntry{},
-	EPaxosPreAccept{}, EPaxosPreAcceptOK{}, EPaxosAccept{},
-	EPaxosAcceptOK{}, EPaxosCommit{}, EPaxosCommitAck{},
 	BucketVec{}, BackfillReq{}, BackfillResp{}, BucketDrop{},
 	DropQuery{}, DropVote{},
 }
@@ -184,96 +166,6 @@ func (TreeAck) Tag() Tag { return TagTreeAck }
 
 // Units implements Message.
 func (TreeAck) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupJoinReq) Tag() Tag { return TagGroupJoinReq }
-
-// Units implements Message.
-func (GroupJoinReq) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupJoinAck) Tag() Tag { return TagGroupJoinAck }
-
-// Units implements Message.
-func (GroupJoinAck) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupLeaveReq) Tag() Tag { return TagGroupLeaveReq }
-
-// Units implements Message.
-func (GroupLeaveReq) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupMemberEvent) Tag() Tag { return TagGroupMemberEvent }
-
-// Units implements Message.
-func (GroupMemberEvent) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupPromote) Tag() Tag { return TagGroupPromote }
-
-// Units implements Message.
-func (GroupPromote) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupSyncReq) Tag() Tag { return TagGroupSyncReq }
-
-// Units implements Message.
-func (GroupSyncReq) Units() int { return 1 }
-
-// Tag implements Message.
-func (GroupSyncAck) Tag() Tag { return TagGroupSyncAck }
-
-// Units implements Message. A sync ack that only advances the stable vector
-// still counts as one message.
-func (a GroupSyncAck) Units() int {
-	if len(a.Entries) == 0 {
-		return 1
-	}
-	return len(a.Entries)
-}
-
-// Tag implements Message.
-func (GroupVisEntry) Tag() Tag { return TagGroupVisEntry }
-
-// Units implements Message.
-func (GroupVisEntry) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosPreAccept) Tag() Tag { return TagEPaxosPreAccept }
-
-// Units implements Message.
-func (EPaxosPreAccept) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosPreAcceptOK) Tag() Tag { return TagEPaxosPreAcceptOK }
-
-// Units implements Message.
-func (EPaxosPreAcceptOK) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosAccept) Tag() Tag { return TagEPaxosAccept }
-
-// Units implements Message.
-func (EPaxosAccept) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosAcceptOK) Tag() Tag { return TagEPaxosAcceptOK }
-
-// Units implements Message.
-func (EPaxosAcceptOK) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosCommit) Tag() Tag { return TagEPaxosCommit }
-
-// Units implements Message.
-func (EPaxosCommit) Units() int { return 1 }
-
-// Tag implements Message.
-func (EPaxosCommitAck) Tag() Tag { return TagEPaxosCommitAck }
-
-// Units implements Message.
-func (EPaxosCommitAck) Units() int { return 1 }
 
 // Tag implements Message.
 func (BucketVec) Tag() Tag { return TagBucketVec }

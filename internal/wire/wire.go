@@ -1,8 +1,11 @@
 // Package wire defines the messages exchanged between Colony nodes over the
-// network substrate: DC↔DC replication, edge↔DC commits and subscriptions,
-// and peer-group traffic. In the paper these ride RabbitMQ (between DCs) and
-// WebRTC data channels (between peers); here they are Go values delivered by
-// simnet.
+// network substrate: DC↔DC replication, and edge↔DC commits, subscriptions
+// and pushes (which a peer group's parent also serves to its members). In
+// the paper these ride RabbitMQ (between DCs) and WebRTC data channels
+// (between peers); here they are Go values delivered by simnet, or encoded
+// by codec.go for the TCP mesh. Peer-group membership and consensus
+// messages are not wire messages: the group and epaxos packages define them
+// and they travel in-process only (tags 18-31 are reserved).
 //
 // Transactions inside messages are treated as immutable; senders clone
 // before sending when they retain a mutable reference.
